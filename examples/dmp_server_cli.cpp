@@ -69,6 +69,9 @@ int main(int argc, char** argv) {
     std::printf("done: generated %lld packets, peak queue %zu\n",
                 static_cast<long long>(stats.packets_generated),
                 stats.max_queue_packets);
+    std::printf("  generation lag: max %.3f ms, mean %.3f ms\n",
+                static_cast<double>(stats.max_generation_lag_ns) * 1e-6,
+                stats.mean_generation_lag_ns * 1e-6);
     for (std::size_t k = 0; k < stats.sent_per_path.size(); ++k) {
       std::printf("  path %zu carried %llu packets (%.1f%%)\n", k + 1,
                   static_cast<unsigned long long>(stats.sent_per_path[k]),

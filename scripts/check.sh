@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Full correctness gate: a sanitizer (ASan+UBSan) build of the whole tree
-# plus the complete ctest suite.  Run from anywhere; builds out of source.
+# Full correctness gate: a sanitizer build (ASan+UBSan by default) of the
+# whole tree plus the complete ctest suite.  Run from anywhere; builds out
+# of source.
 #
 #   scripts/check.sh                 # address,undefined (default)
 #   DMP_SANITIZE=undefined scripts/check.sh
+#   DMP_SANITIZE=thread scripts/check.sh     # ThreadSanitizer
 #   DMP_CHECK_BUILD_DIR=/tmp/b scripts/check.sh
 set -euo pipefail
 
@@ -20,9 +22,10 @@ echo "== build =="
 cmake --build "${build_dir}" -j "${jobs}"
 
 echo "== test =="
-# halt_on_error so any ASan/UBSan report fails the corresponding test.
+# halt_on_error so any ASan/UBSan/TSan report fails the corresponding test.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+TSAN_OPTIONS="halt_on_error=1" \
 ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}"
 
 echo "== OK =="

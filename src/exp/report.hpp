@@ -64,8 +64,9 @@ struct SettingSummary {
   const MetricSeries* find(const std::string& metric) const;
 
   // Folds one replication's sketch into the setting-level merge.
-  void merge_sketch(const std::string& name, const obs::QuantileSketch& s);
-  const obs::QuantileSketch* find_sketch(const std::string& name) const;
+  void merge_sketch(const std::string& sketch_name,
+                    const obs::QuantileSketch& s);
+  const obs::QuantileSketch* find_sketch(const std::string& sketch_name) const;
 };
 
 class ExperimentReport {

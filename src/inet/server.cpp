@@ -1,7 +1,9 @@
 #include "inet/server.hpp"
 
+#include <linux/sockios.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <time.h>
 #include <unistd.h>
@@ -39,6 +41,29 @@ void close_with_rst(Fd& fd) {
 }
 
 }  // namespace
+
+timespec timeout_until(std::uint64_t now_ns, std::uint64_t due_ns) {
+  const std::uint64_t left = due_ns > now_ns ? due_ns - now_ns : 0;
+  timespec ts{};
+  ts.tv_sec = static_cast<time_t>(left / 1'000'000'000ull);
+  ts.tv_nsec = static_cast<long>(left % 1'000'000'000ull);
+  return ts;
+}
+
+void offer_order(std::span<const int> outq, std::size_t rotate,
+                 std::span<std::size_t> order) {
+  const std::size_t n = order.size();
+  const auto key = [&outq](std::size_t i) { return std::max(outq[i], 0); };
+  // Insertion in rotation order; the strict comparison keeps ties in it.
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::size_t idx = (rotate + j) % n;
+    std::size_t pos = j;
+    for (; pos > 0 && key(order[pos - 1]) > key(idx); --pos) {
+      order[pos] = order[pos - 1];
+    }
+    order[pos] = idx;
+  }
+}
 
 DmpInetServer::DmpInetServer(ServerConfig config) : config_(config) {
   if (config_.num_paths == 0) throw std::invalid_argument{"need >= 1 path"};
@@ -186,11 +211,17 @@ ServerStats DmpInetServer::run() {
   const double period_ns = 1e9 / config_.mu_pps;
   const std::uint64_t t0 = monotonic_ns();
   stats.stream_start_ns = t0;
+  // Due instant of frame n: t0 + n/mu.
+  const auto generation_due = [t0, period_ns](std::int64_t n) {
+    return t0 + static_cast<std::uint64_t>(
+                    std::llround(static_cast<double>(n) * period_ns));
+  };
   if (config_.flight) {
     config_.flight->set_meta(config_.mu_pps, static_cast<std::int64_t>(t0),
                              total_packets);
   }
   std::int64_t generated = 0;
+  std::uint64_t generation_lag_sum_ns = 0;
   std::size_t rotate = 0;
   std::size_t next_reset = 0;
   std::uint64_t all_closed_since = 0;  // 0 = at least one path open
@@ -212,6 +243,8 @@ ServerStats DmpInetServer::run() {
   };
 
   std::vector<pollfd> pfds(connections.size() + 1);  // + the listener
+  std::vector<int> outq(connections.size());  // SIOCOUTQ bytes per path
+  std::vector<std::size_t> order(connections.size());
   while (true) {
     if (stop_.load(std::memory_order_relaxed)) break;
     const std::uint64_t now = monotonic_ns();
@@ -231,12 +264,14 @@ ServerStats DmpInetServer::run() {
 
     // Generate every packet whose scheduled instant has passed.
     while (generated < total_packets) {
-      const std::uint64_t due =
-          t0 + static_cast<std::uint64_t>(
-                   std::llround(static_cast<double>(generated) * period_ns));
+      const std::uint64_t due = generation_due(generated);
       if (due > now) break;
       queue_.push_back(Frame{static_cast<std::uint64_t>(generated), due});
       ++generated;
+      const std::uint64_t lag = now - due;
+      generation_lag_sum_ns += lag;
+      stats.max_generation_lag_ns = std::max(
+          stats.max_generation_lag_ns, static_cast<std::int64_t>(lag));
       if (m_generated) m_generated->inc();
       if (config_.telemetry_generated) {
         config_.telemetry_generated->bump(
@@ -259,9 +294,22 @@ ServerStats DmpInetServer::run() {
     }
     if (wall_probe) wall_probe->poll(now);
 
-    // Offer data to every open connection (rotating start for fairness).
+    // Offer data to every open connection, emptiest kernel send queue
+    // first (rotating start breaks ties).  The depths only matter while
+    // frames wait and at least two connections compete for them.
+    const bool compete =
+        !queue_.empty() &&
+        std::count_if(connections.begin(), connections.end(),
+                      [](const Connection& c) { return c.open; }) >= 2;
     for (std::size_t i = 0; i < connections.size(); ++i) {
-      auto& conn = connections[(rotate + i) % connections.size()];
+      outq[i] = 0;  // also what a failed query leaves
+      if (compete && connections[i].open) {
+        ::ioctl(connections[i].fd.get(), SIOCOUTQ, &outq[i]);
+      }
+    }
+    offer_order(outq, rotate, order);
+    for (const std::size_t k : order) {
+      auto& conn = connections[k];
       if (!conn.open) continue;
       if (!pump_connection(conn)) {
         // Without a fault schedule a broken pipe is a hard error (the
@@ -298,28 +346,18 @@ ServerStats DmpInetServer::run() {
       break;
     }
 
-    // Sleep until the next generation instant or until a blocked
-    // connection becomes writable again.
-    int timeout_ms = 1000;
+    // Sleep until exactly the next generation instant or conn_reset (at
+    // most 1 s), or until a blocked connection becomes writable again.
+    const std::uint64_t now2 = monotonic_ns();
+    std::uint64_t wake = now2 + 1'000'000'000ull;
     if (generated < total_packets) {
-      const std::uint64_t due =
-          t0 + static_cast<std::uint64_t>(
-                   std::llround(static_cast<double>(generated) * period_ns));
-      const std::uint64_t now2 = monotonic_ns();
-      timeout_ms = due > now2
-                       ? static_cast<int>((due - now2) / 1'000'000ull) + 1
-                       : 0;
+      wake = std::min(wake, generation_due(generated));
     }
-    // Wake for the next scheduled conn_reset too.
     if (next_reset < resets_.size()) {
-      const std::uint64_t due =
-          t0 + static_cast<std::uint64_t>(resets_[next_reset].first * 1e9);
-      const std::uint64_t now2 = monotonic_ns();
-      const int ms = due > now2
-                         ? static_cast<int>((due - now2) / 1'000'000ull) + 1
-                         : 0;
-      timeout_ms = std::min(timeout_ms, ms);
+      wake = std::min(wake, t0 + static_cast<std::uint64_t>(
+                                     resets_[next_reset].first * 1e9));
     }
+    const timespec timeout = timeout_until(now2, wake);
     for (std::size_t i = 0; i < connections.size(); ++i) {
       pfds[i].fd = connections[i].open ? connections[i].fd.get() : -1;
       const bool wants_out =
@@ -336,8 +374,9 @@ ServerStats DmpInetServer::run() {
     pfds.back().fd = any_down ? listener_.get() : -1;
     pfds.back().events = POLLIN;
     pfds.back().revents = 0;
-    if (::poll(pfds.data(), pfds.size(), timeout_ms) < 0 && errno != EINTR) {
-      throw std::runtime_error{std::string{"poll: "} + std::strerror(errno)};
+    if (::ppoll(pfds.data(), pfds.size(), &timeout, nullptr) < 0 &&
+        errno != EINTR) {
+      throw std::runtime_error{std::string{"ppoll: "} + std::strerror(errno)};
     }
 
     // Serve a mid-run reconnect: the resume hello names the path and the
@@ -409,6 +448,10 @@ ServerStats DmpInetServer::run() {
   }
 
   stats.packets_generated = generated;
+  if (generated > 0) {
+    stats.mean_generation_lag_ns = static_cast<double>(generation_lag_sum_ns) /
+                                   static_cast<double>(generated);
+  }
   for (std::size_t i = 0; i < connections.size(); ++i) {
     stats.sent_per_path[i] = connections[i].sent_frames;
   }

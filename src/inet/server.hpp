@@ -1,18 +1,27 @@
 // Real-socket DMP-streaming server (the paper's Section-6 implementation).
 //
-// One thread, one poll() loop — which *is* the paper's server-queue lock:
+// One thread, one ppoll() loop — which *is* the paper's server-queue lock:
 // packet fetches by the per-path TCP senders are serialized by construction.
-// A CBR generator appends packets to the shared queue; whenever a
-// connection's kernel send buffer has room (POLLOUT), that connection
-// fetches from the head of the queue until write() would block.  Small
+// A CBR generator appends packet n to the shared queue at t0 + n/mu: the
+// loop sleeps with a nanosecond ppoll() timeout to exactly that instant (or
+// the next conn_reset), so frames are queued within timer slack of their
+// due time rather than in late bursts.  Whenever a connection's kernel send
+// buffer has room (POLLOUT), that connection fetches from the head of the
+// queue until write() would block.  The loop offers queued frames to open
+// connections in ascending order of kernel send-queue bytes (SIOCOUTQ),
+// ties broken by a rotating start: like the paper's one-thread-per-path
+// design, the sender whose buffer drained first fetches next.  Small
 // SO_SNDBUF values make blocking — and therefore the implicit bandwidth
 // inference — responsive.
 #pragma once
 
+#include <time.h>
+
 #include <atomic>
 #include <cstdint>
-#include <string>
 #include <deque>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -82,7 +91,22 @@ struct ServerStats {
   std::uint64_t stream_start_ns = 0;  // monotonic clock at generation start
   std::uint64_t conn_resets = 0;      // fault events fired
   std::uint64_t reaccepts = 0;        // mid-run reconnections served
+  // How late the generator ran: the instant a frame was queued minus its
+  // due instant t0 + n/mu, over all generated frames.
+  std::int64_t max_generation_lag_ns = 0;
+  double mean_generation_lag_ns = 0.0;
 };
+
+// ppoll() timeout that expires exactly at `due_ns` (both CLOCK_MONOTONIC
+// nanoseconds); zero once the deadline has passed.
+timespec timeout_until(std::uint64_t now_ns, std::uint64_t due_ns);
+
+// Writes the offer order of connections 0..n-1 (n = order.size()) into
+// `order`: ascending kernel send-queue bytes `outq[i]`, ties broken by
+// rotation distance from `rotate`.  A negative entry (failed SIOCOUTQ)
+// counts as 0.  Allocation-free; n is the path count.
+void offer_order(std::span<const int> outq, std::size_t rotate,
+                 std::span<std::size_t> order);
 
 class DmpInetServer {
  public:

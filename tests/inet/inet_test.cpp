@@ -2,6 +2,8 @@
 // and the dynamic split under an artificially slow path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <future>
 #include <vector>
 
@@ -97,6 +99,57 @@ TEST(Framing, TruncatedFinalFrameNeverEmits) {
   EXPECT_EQ(parser.pending_bytes(), cut - frame_bytes);
 }
 
+TEST(InetServerDecisions, TimeoutKeepsSubMillisecondPrecision) {
+  // 300 us stays 300 us: no rounding up to whole milliseconds.
+  const timespec short_wait = timeout_until(1'000'000, 1'300'000);
+  EXPECT_EQ(short_wait.tv_sec, 0);
+  EXPECT_EQ(short_wait.tv_nsec, 300'000);
+  const timespec long_wait = timeout_until(7, 2'500'000'008);
+  EXPECT_EQ(long_wait.tv_sec, 2);
+  EXPECT_EQ(long_wait.tv_nsec, 500'000'001);
+}
+
+TEST(InetServerDecisions, TimeoutIsZeroOnceDue) {
+  for (const auto& [now, due] : {std::pair<std::uint64_t, std::uint64_t>{5, 5},
+                                 {9'000'000'000, 3}}) {
+    const timespec ts = timeout_until(now, due);
+    EXPECT_EQ(ts.tv_sec, 0);
+    EXPECT_EQ(ts.tv_nsec, 0);
+  }
+}
+
+TEST(InetServerDecisions, OfferOrderVisitsLeastQueuedFirst) {
+  const std::array<int, 3> outq{9000, 0, 4000};
+  std::array<std::size_t, 3> order{};
+  for (std::size_t rotate = 0; rotate < 3; ++rotate) {
+    offer_order(outq, rotate, order);
+    EXPECT_EQ(order, (std::array<std::size_t, 3>{1, 2, 0})) << rotate;
+  }
+}
+
+TEST(InetServerDecisions, OfferOrderTiesFollowRotation) {
+  const std::array<int, 3> equal{700, 700, 700};
+  std::array<std::size_t, 3> order{};
+  offer_order(equal, 0, order);
+  EXPECT_EQ(order, (std::array<std::size_t, 3>{0, 1, 2}));
+  offer_order(equal, 2, order);
+  EXPECT_EQ(order, (std::array<std::size_t, 3>{2, 0, 1}));
+
+  // Only the tied pair follows the rotation; the deeper queue stays last.
+  const std::array<int, 3> pair{100, 5000, 100};
+  offer_order(pair, 1, order);
+  EXPECT_EQ(order, (std::array<std::size_t, 3>{2, 0, 1}));
+}
+
+TEST(InetServerDecisions, OfferOrderCountsFailedQueryAsEmpty) {
+  const std::array<int, 3> outq{-1, 0, 5};
+  std::array<std::size_t, 3> order{};
+  offer_order(outq, 1, order);
+  EXPECT_EQ(order, (std::array<std::size_t, 3>{1, 0, 2}));
+  offer_order(outq, 0, order);
+  EXPECT_EQ(order, (std::array<std::size_t, 3>{0, 1, 2}));
+}
+
 // Runs a server and client concurrently over loopback.
 std::pair<ServerStats, ClientReport> stream_loopback(ServerConfig server_cfg,
                                                      ClientConfig client_cfg) {
@@ -123,6 +176,11 @@ TEST(InetStreaming, DeliversEveryPacketExactlyOnce) {
 
   EXPECT_EQ(stats.packets_generated, 1000);
   EXPECT_EQ(report.frames_received, 1000);
+  // Generation lag is recorded, and no frame is queued before it is due.
+  EXPECT_GT(stats.max_generation_lag_ns, 0);
+  EXPECT_GE(stats.mean_generation_lag_ns, 0.0);
+  EXPECT_GE(static_cast<double>(stats.max_generation_lag_ns),
+            stats.mean_generation_lag_ns);
   std::vector<bool> seen(1000, false);
   for (const auto& e : report.trace.entries()) {
     ASSERT_GE(e.packet_number, 0);
@@ -183,6 +241,30 @@ TEST(InetStreaming, ThrottledPathReceivesSmallerShare) {
   const auto split = report.trace.path_split(2);
   EXPECT_GT(split[0], 0.75) << "fast path should dominate";
   EXPECT_GT(split[1], 0.01) << "slow path must still contribute";
+
+  // ... but no more than it can read: over-feeding it builds a backlog in
+  // its socket buffers, which shows up as delay on that path.  Rotation-only
+  // dispatch fills both the send and the receive buffer (share ~0.16, p90
+  // ~2.8 s).  Queue-depth dispatch still over-feeds the slow path while its
+  // receiver acks every segment at once (TCP quick-ack at connection
+  // start): those frames sit in its receive buffer, which SIOCOUTQ cannot
+  // see, and drain at ~34 frames/s, so the p90 stays at a few hundred ms.
+  const double read_share =
+      client_cfg.read_rate_limit_bps[1] /
+      (cfg.mu_pps * static_cast<double>(cfg.frame_bytes) * 8.0);
+  EXPECT_LE(split[1], 1.1 * read_share) << "slow path is over-fed";
+  std::vector<double> slow_delays_s;
+  for (const auto& e : report.trace.entries()) {
+    if (e.path != 1) continue;
+    slow_delays_s.push_back(
+        (e.arrived - report.trace.generation_time(e.packet_number))
+            .to_seconds());
+  }
+  ASSERT_FALSE(slow_delays_s.empty());
+  const auto p90 = slow_delays_s.begin() +
+                   static_cast<std::ptrdiff_t>(slow_delays_s.size() * 9 / 10);
+  std::nth_element(slow_delays_s.begin(), p90, slow_delays_s.end());
+  EXPECT_LT(*p90, 1.0) << "slow path's p90 frame delay";
 }
 
 TEST(InetStreaming, ValidatesConfiguration) {
