@@ -141,6 +141,8 @@ BENCHMARK(BM_ComposedMonteCarloCompat)->Unit(benchmark::kMillisecond);
 
 // Deterministic sharded estimation: 8 shards on however many cores the
 // runner grants (thread count does not change the output, only the time).
+// The shards run on pool workers, so the rate is per wall second: the main
+// thread's CPU time would overstate it by about the worker count.
 void BM_ComposedMonteCarloSharded(benchmark::State& state) {
   const ComposedParams params = composed_setup(2);
   const DmpModelMonteCarlo mc(params, 5, SamplerMode::kAlias);
@@ -150,7 +152,28 @@ void BM_ComposedMonteCarloSharded(benchmark::State& state) {
   }
   bench::set_items_per_iteration(state, 8 * 200'000);
 }
-BENCHMARK(BM_ComposedMonteCarloSharded)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ComposedMonteCarloSharded)->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// Exact product-chain solve (build + Gauss-Seidel to 1e-13) on a K = 2,
+// wmax = 3 cell of the model_sweep catalog: 11,025 states.
+void BM_ComposedChainExact(benchmark::State& state) {
+  TcpChainParams flow;
+  flow.loss_rate = 0.02;
+  flow.rtt_s = 0.2;
+  flow.to_ratio = 4.0;
+  flow.wmax = 3;
+  ComposedParams params;
+  params.flows.assign(2, flow);
+  params.mu_pps = 24.0;
+  params.tau_s = 1.0;
+  for (auto _ : state) {
+    const ComposedChainExact exact(params);
+    benchmark::DoNotOptimize(exact.late_fraction());
+    state.counters["states"] = static_cast<double>(exact.num_states());
+  }
+}
+BENCHMARK(BM_ComposedChainExact)->Unit(benchmark::kMillisecond);
 
 // Stored-video finite-horizon engine on the alias fast path; items are
 // consumed video packets.

@@ -276,13 +276,19 @@ const JsonValue* JsonValue::find(const std::string& key) const {
 }
 
 std::string JsonValue::brief() const {
+  // Built by appending, not `"[" + std::to_string(n)`: GCC 12 flags that
+  // with a false -Wrestrict in Release builds.
   switch (kind) {
     case Kind::kNull: return "null";
     case Kind::kBool: return boolean ? "true" : "false";
     case Kind::kNumber: return text;
-    case Kind::kString: return "\"" + text + "\"";
-    case Kind::kArray: return "[" + std::to_string(array.size()) + " items]";
-    case Kind::kObject: return "{" + std::to_string(object.size()) + " keys}";
+    case Kind::kString: return std::string{"\""}.append(text).append("\"");
+    case Kind::kArray:
+      return std::string{"["}.append(std::to_string(array.size())).append(
+          " items]");
+    case Kind::kObject:
+      return std::string{"{"}.append(std::to_string(object.size())).append(
+          " keys}");
   }
   return "?";
 }

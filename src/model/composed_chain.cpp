@@ -56,8 +56,10 @@ Ctmc composed_ctmc(const ComposedParams& params) {
   }
   const std::uint64_t total =
       flow_product * static_cast<std::uint64_t>(nmax + 1);
-  // The triplet store costs ~16 B per edge and Gauss-Seidel sweeps the
-  // whole chain repeatedly; beyond a couple of million states the Monte-
+  // The builder holds 16 B per edge until it lays the chain out in 4-row
+  // slices (12 B per stored entry; a uniform slice, the common case here,
+  // stores one entry per four edges), and Gauss-Seidel sweeps the whole
+  // chain thousands of times; beyond a couple of million states the Monte-
   // Carlo backend is the right tool.
   if (total > 2'000'000ull) {
     throw std::invalid_argument{

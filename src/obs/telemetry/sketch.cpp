@@ -24,7 +24,11 @@ std::string num(double v) {
 // Finds `"key":` at top level of a single-line JSON object and returns the
 // offset just past the colon, or npos.
 std::size_t find_key(std::string_view s, std::string_view key) {
-  const std::string pat = "\"" + std::string(key) + "\":";
+  // Appended piece by piece: GCC 12 flags `"\"" + std::string(key)` with a
+  // false -Wrestrict in Release builds.
+  std::string pat = "\"";
+  pat += key;
+  pat += "\":";
   const auto at = s.find(pat);
   return at == std::string_view::npos ? std::string_view::npos
                                       : at + pat.size();

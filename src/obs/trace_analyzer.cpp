@@ -307,10 +307,19 @@ std::vector<const PacketTimeline*> TraceAnalyzer::retransmitted_packets()
 
 namespace {
 
+// `"key` followed by `tail`.  Appended piece by piece: GCC 12 flags
+// `"\"" + std::string(key)` with a false -Wrestrict in Release builds.
+std::string key_needle(std::string_view key, std::string_view tail) {
+  std::string needle = "\"";
+  needle += key;
+  needle += tail;
+  return needle;
+}
+
 // Locates `"key":` and parses the numeric value after it.
 bool find_i64(const std::string& line, std::string_view key,
               std::int64_t* out) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  const std::string needle = key_needle(key, "\":");
   const auto pos = line.find(needle);
   if (pos == std::string::npos) return false;
   const char* begin = line.data() + pos + needle.size();
@@ -320,7 +329,7 @@ bool find_i64(const std::string& line, std::string_view key,
 }
 
 bool find_f64(const std::string& line, std::string_view key, double* out) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  const std::string needle = key_needle(key, "\":");
   const auto pos = line.find(needle);
   if (pos == std::string::npos) return false;
   const char* begin = line.data() + pos + needle.size();
@@ -331,7 +340,7 @@ bool find_f64(const std::string& line, std::string_view key, double* out) {
 
 bool find_str(const std::string& line, std::string_view key,
               std::string* out) {
-  const std::string needle = "\"" + std::string(key) + "\":\"";
+  const std::string needle = key_needle(key, "\":\"");
   const auto pos = line.find(needle);
   if (pos == std::string::npos) return false;
   const auto start = pos + needle.size();

@@ -113,7 +113,10 @@ TEST(MetricsRegistry, GetOrCreateAndFind) {
 TEST(MetricsRegistry, StableAddressesAcrossInsertions) {
   MetricsRegistry reg;
   Counter* first = &reg.counter("a");
-  for (int i = 0; i < 100; ++i) reg.counter("c" + std::to_string(i));
+  for (int i = 0; i < 100; ++i) {
+    // Appended: `"c" + std::to_string(i)` trips GCC 12's false -Wrestrict.
+    reg.counter(std::string{"c"}.append(std::to_string(i)));
+  }
   EXPECT_EQ(first, &reg.counter("a"));  // node-based storage: no relocation
 }
 
