@@ -1,22 +1,35 @@
 #include "stream/dmp_server.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "stream/scheduler/strategies.hpp"
 
 namespace dmp {
 
+namespace {
+
+// Runs before period_ = 1/mu is computed, so a zero, negative or NaN rate
+// throws instead of converting a non-finite period to integer nanoseconds.
+double checked_mu(double mu_pps) {
+  if (!std::isfinite(mu_pps) || mu_pps <= 0) {
+    throw std::invalid_argument{"mu must be positive and finite"};
+  }
+  return mu_pps;
+}
+
+}  // namespace
+
 DmpStreamingServer::DmpStreamingServer(
     Scheduler& sched, double mu_pps, std::vector<RenoSender*> senders,
     SimTime start, SimTime duration, std::unique_ptr<PathScheduler> scheduler)
     : sched_(sched),
-      mu_pps_(mu_pps),
+      mu_pps_(checked_mu(mu_pps)),
       senders_(std::move(senders)),
-      period_(SimTime::seconds(1.0 / mu_pps)),
+      period_(SimTime::seconds(1.0 / mu_pps_)),
       end_(start + duration),
       scheduler_(std::move(scheduler)) {
   if (senders_.empty()) throw std::invalid_argument{"DMP needs >= 1 sender"};
-  if (mu_pps <= 0) throw std::invalid_argument{"mu must be positive"};
   if (!scheduler_) scheduler_ = std::make_unique<PullScheduler>(senders_.size());
   pulls_.assign(senders_.size(), 0);
   down_.assign(senders_.size(), false);
@@ -163,6 +176,7 @@ void DmpStreamingServer::execute(const SchedDecision& decision) {
 }
 
 void DmpStreamingServer::on_path_down(std::size_t k) {
+  if (!scheduler_->reroutes_on_fault()) return;
   down_[k] = true;
   // Segments the dead sender accepted but never transmitted go back to the
   // head of the shared queue (they are older than anything queued there),
@@ -191,6 +205,7 @@ void DmpStreamingServer::on_path_down(std::size_t k) {
 }
 
 void DmpStreamingServer::on_path_up(std::size_t k) {
+  if (!scheduler_->reroutes_on_fault()) return;
   down_[k] = false;
   scheduler_->on_path_up(k);
   scheduler_->on_window_open(k);

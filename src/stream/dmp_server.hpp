@@ -14,7 +14,8 @@
 // executes the scheduler's decisions.  The default `pull` policy
 // reproduces the paper's scheme decision-for-decision (golden-pinned);
 // other policies (weighted, best_path, round_robin, redundant, parity-k)
-// reuse this server core unchanged.
+// reuse this server core unchanged.  Static streaming (Section 7.4) is
+// this server too: a `weighted` policy that does not reroute on faults.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +56,6 @@ class DmpStreamingServer : public StreamServer {
   // Packets fetched by sender k since the start of the run.
   std::uint64_t pulls(std::size_t k) const override { return pulls_[k]; }
 
-  const char* scheme_name() const override { return "dmp"; }
   const char* scheduler_name() const override { return scheduler_->name(); }
   bool scheduler_needs_dedup() const { return scheduler_->needs_dedup(); }
   // Redundancy decisions executed (0 under non-redundant policies).
@@ -95,7 +95,9 @@ class DmpStreamingServer : public StreamServer {
   // and re-offer the backlog to the surviving senders.  While a path is
   // down its sender is skipped by every policy, so the shared-queue
   // discipline routes the whole stream over the survivors — the paper's
-  // implicit load shifting, exercised under failure.
+  // implicit load shifting, exercised under failure.  Both hooks return at
+  // once when the policy does not reroute on faults (static streaming): the
+  // dead path keeps its share, which stalls head-of-line behind the link.
   void on_path_down(std::size_t k) override;
   void on_path_up(std::size_t k) override;
   bool path_down(std::size_t k) const { return down_[k]; }

@@ -102,6 +102,13 @@ class PathScheduler {
   // the client must then dedup before recording its trace.
   virtual bool needs_dedup() const { return false; }
 
+  // True when a path fault should reach the policy: the server then
+  // reclaims the dead sender's unsent packets and re-offers the backlog to
+  // the survivors.  False pins every packet to its assigned path, so a
+  // dead path's share stalls head-of-line until the link returns (the
+  // static baseline of Section 7.4); the server ignores the fault hooks.
+  virtual bool reroutes_on_fault() const { return true; }
+
   // --- event hooks, mirroring the server / fault layer ---
   // A new stream packet was appended to the shared queue.
   virtual void on_generate(std::int64_t /*packet*/) {}

@@ -66,8 +66,10 @@ bool PullScheduler::pick(const std::vector<SchedPathState>& paths,
 // --- weighted (static split via the shared deficit rule) ---
 
 WeightedScheduler::WeightedScheduler(std::size_t num_paths,
-                                     std::vector<double> weights)
+                                     std::vector<double> weights,
+                                     bool reroutes_on_fault)
     : split_(num_paths, std::move(weights)),
+      reroutes_on_fault_(reroutes_on_fault),
       up_(num_paths, 1),
       pending_(num_paths) {}
 

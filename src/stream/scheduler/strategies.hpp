@@ -50,12 +50,16 @@ class PullScheduler : public PathScheduler {
 // path by the shared deficit rule (WeightedSplit); a path only ever pulls
 // its own packets, even when another path idles.  Under faults the dead
 // path's pending share — and the tags the server reclaimed from its
-// sender — are reassigned across the surviving paths.
+// sender — are reassigned across the surviving paths, unless the policy
+// was built with `reroutes_on_fault = false`: that is static streaming
+// (StreamScheme::kStatic), whose dead path keeps its share.
 class WeightedScheduler : public PathScheduler {
  public:
-  WeightedScheduler(std::size_t num_paths, std::vector<double> weights);
+  WeightedScheduler(std::size_t num_paths, std::vector<double> weights,
+                    bool reroutes_on_fault = true);
 
   const char* name() const override { return "weighted"; }
+  bool reroutes_on_fault() const override { return reroutes_on_fault_; }
   void on_generate(std::int64_t packet) override;
   void on_path_down(std::size_t path,
                     const std::vector<std::int64_t>& reclaimed,
@@ -70,6 +74,7 @@ class WeightedScheduler : public PathScheduler {
   void assign(std::int64_t packet);
 
   WeightedSplit split_;
+  bool reroutes_on_fault_;
   std::vector<char> up_;
   std::vector<std::deque<std::int64_t>> pending_;  // assigned, not yet pulled
 };

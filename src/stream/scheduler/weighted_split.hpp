@@ -1,7 +1,6 @@
 // Deficit weighted round-robin packet-to-path assignment — the static
-// multipath split rule (Section 7.4), shared by StaticStreamingServer and
-// the `weighted` PathScheduler so both schemes split identically for the
-// same weights.
+// multipath split rule (Section 7.4) behind the `weighted` PathScheduler,
+// which static streaming (StreamScheme::kStatic) runs on the DMP server.
 #pragma once
 
 #include <cstdint>
@@ -13,8 +12,8 @@ class WeightedSplit {
  public:
   // `weights` gives the long-run fraction of packets per path (measured
   // average bandwidths in the paper); empty means an even split over
-  // `num_paths`.  Throws std::invalid_argument on a negative weight or a
-  // non-positive total.
+  // `num_paths`.  Throws std::invalid_argument on a negative or non-finite
+  // weight, or a non-positive or non-finite total.
   WeightedSplit(std::size_t num_paths, std::vector<double> weights);
 
   // Assigns the next packet: the path furthest behind its target share.

@@ -53,6 +53,16 @@ void attach_scheduler_gauges(obs::MetricsRegistry& registry,
   });
 }
 
+// Short scheme tag for reports.
+const char* scheme_tag(StreamScheme scheme) {
+  switch (scheme) {
+    case StreamScheme::kDmp: return "dmp";
+    case StreamScheme::kStatic: return "static";
+    case StreamScheme::kStored: return "stored";
+  }
+  return "";  // unreachable
+}
+
 }  // namespace
 
 SessionResult run_session(const SessionConfig& config) {
@@ -393,7 +403,7 @@ SessionResult run_session(const SessionConfig& config) {
     }
 
     obs::RunReport report;
-    report.set_text("scheme", server->scheme_name());
+    report.set_text("scheme", scheme_tag(config.scheme));
     if (*server->scheduler_name() != '\0') {
       report.set_text("scheduler", server->scheduler_name());
     }

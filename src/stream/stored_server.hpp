@@ -42,8 +42,6 @@ class StoredStreamingServer : public StreamServer {
   std::int64_t packets_generated() const override { return total_; }
   std::uint64_t pulls(std::size_t k) const override { return pulls_[k]; }
 
-  const char* scheme_name() const override { return "stored"; }
-
   // Registers the `<prefix>.dispatched` counter, per-path `<prefix>.pulls.
   // path<k>` counters and a `<prefix>.remaining` sampler gauge.  Optional;
   // a no-op when never called.

@@ -3,8 +3,8 @@
 #include <cmath>
 
 #include "stream/dmp_server.hpp"
+#include "stream/scheduler/strategies.hpp"
 #include "stream/session.hpp"
-#include "stream/static_server.hpp"
 #include "stream/stored_server.hpp"
 
 namespace dmp {
@@ -35,10 +35,15 @@ std::unique_ptr<StreamServer> make_stream_server(
           sched, config.mu_pps, std::move(senders), epoch, duration,
           make_path_scheduler(scheduler_spec, num_paths, path_rates));
     }
-    case StreamScheme::kStatic:
-      return std::make_unique<StaticStreamingServer>(
+    case StreamScheme::kStatic: {
+      // The Section-7.4 baseline: a fixed weighted split whose dead path
+      // keeps its share under faults (empty weights = even split).
+      auto policy = std::make_unique<WeightedScheduler>(
+          senders.size(), config.static_weights, /*reroutes_on_fault=*/false);
+      return std::make_unique<DmpStreamingServer>(
           sched, config.mu_pps, std::move(senders), epoch, duration,
-          config.static_weights);
+          std::move(policy));
+    }
     case StreamScheme::kStored:
       return std::make_unique<StoredStreamingServer>(
           sched,

@@ -1,7 +1,8 @@
-// The common interface of the three streaming servers (DMP, static,
-// stored).  The session harness and the observability wiring talk to this
-// interface only, so adding a scheme means implementing it and extending
-// the factory — not editing a switch in every consumer.
+// The common interface of the two streaming servers: DmpStreamingServer
+// (DMP, and static streaming as its non-rerouting `weighted` policy) and
+// StoredStreamingServer.  The session harness and the observability wiring
+// talk to this interface only, so adding a scheme means implementing it
+// and extending the factory — not editing a switch in every consumer.
 #pragma once
 
 #include <cstdint>
@@ -35,12 +36,9 @@ class StreamServer {
   // Packets fetched by sender k since the start of the run.
   virtual std::uint64_t pulls(std::size_t k) const = 0;
 
-  // Short scheme tag for reports ("dmp", "static", "stored").
-  virtual const char* scheme_name() const = 0;
-
   // Dispatch-policy tag for reports: the PathScheduler spec a DMP server
   // runs ("pull", "weighted", "parity-4", ...), "weighted" for static
-  // streaming (it is the same split rule applied offline).  Empty when the
+  // streaming (the same split rule, pinned under faults).  Empty when the
   // scheme has no policy dimension.
   virtual const char* scheduler_name() const { return ""; }
 
@@ -58,8 +56,8 @@ class StreamServer {
   virtual void set_event_log(obs::EventLog*) {}
   virtual void set_flight_recorder(obs::FlightRecorder*) {}
   // Windowed telemetry (either may be null): `backlog` samples the
-  // scheme's undispatched-packet count (shared queue, summed private
-  // queues, or remaining file) at generation/dispatch instants;
+  // scheme's undispatched-packet count (shared queue or remaining file) at
+  // generation/dispatch instants;
   // `generated` gets one bump per stream packet entering the system.
   virtual void set_telemetry(obs::TimeSeriesChannel* /*backlog*/,
                              obs::TimeSeriesChannel* /*generated*/) {}
@@ -74,15 +72,15 @@ class StreamServer {
   // their degradation story.  DMP and stored reclaim the dead sender's
   // never-transmitted share into the shared backlog (graceful degradation:
   // surviving paths carry it); static streaming deliberately does nothing —
-  // its fixed packet-to-path assignment means the dead path's share stalls
+  // its policy does not reroute on faults, so the dead path's share stalls
   // head-of-line until the link returns, which is exactly the fragility the
   // paper's Section-7 comparison punishes.
   virtual void on_path_down(std::size_t /*k*/) {}
   virtual void on_path_up(std::size_t /*k*/) {}
 
   // Gauge names (under `prefix`) a time-series probe should sample for this
-  // scheme — the scheme knows whether its backlog is one shared queue,
-  // per-path queues, or a remaining-packets count.
+  // scheme — the scheme knows whether its backlog is one shared queue or a
+  // remaining-packets count.
   virtual std::vector<std::string> probe_columns(
       const std::string& prefix, std::size_t num_flows) const = 0;
 };
@@ -99,7 +97,8 @@ std::unique_ptr<StreamServer> make_stream_server(
 // Overload with a pre-parsed PathScheduler spec (callers that already
 // validated the spec — the session does, so a bad DMP_SCHED fails before
 // any network is built).  The spec drives DMP sessions; static and stored
-// schemes have their policy baked in and ignore it.
+// schemes have their policy baked in and ignore it (static runs `weighted`
+// over `config.static_weights`, without rerouting on faults).
 std::unique_ptr<StreamServer> make_stream_server(
     const SessionConfig& config, Scheduler& sched,
     std::vector<RenoSender*> senders, SimTime epoch, SimTime duration,

@@ -115,6 +115,24 @@ TEST(SessionObs, EmitsReportProbeAndEventArtifacts) {
   EXPECT_NE(events.find("\"type\":\"drop\""), std::string::npos);
 }
 
+TEST(SessionObs, ReportTagsSchemeAndPolicy) {
+  // Static streaming runs on the DMP server core; its report still names
+  // the static scheme and the weighted split it runs.
+  auto config = obs_session("static");
+  config.duration_s = 20.0;
+  config.scheme = StreamScheme::kStatic;
+  std::string report = slurp(run_session(config).report_path);
+  EXPECT_NE(report.find("\"scheme\":\"static\""), std::string::npos);
+  EXPECT_NE(report.find("\"scheduler\":\"weighted\""), std::string::npos);
+
+  config = obs_session("stored");
+  config.duration_s = 20.0;
+  config.scheme = StreamScheme::kStored;
+  report = slurp(run_session(config).report_path);
+  EXPECT_NE(report.find("\"scheme\":\"stored\""), std::string::npos);
+  EXPECT_EQ(report.find("\"scheduler\""), std::string::npos);
+}
+
 TEST(SessionObs, ObsRunMatchesPlainRunPacketForPacket) {
   // Instrumentation must not perturb the simulation: identical seeds give
   // identical traces with and without obs attached.

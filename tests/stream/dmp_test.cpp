@@ -1,11 +1,13 @@
 // DMP-streaming scheme behaviour on controlled two-path networks.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "net/topology.hpp"
 #include "stream/dmp_server.hpp"
-#include "stream/static_server.hpp"
+#include "stream/session.hpp"
+#include "stream/stream_server.hpp"
 #include "stream/trace.hpp"
 #include "tcp/connection.hpp"
 
@@ -42,6 +44,19 @@ struct TwoPathRig {
   std::unique_ptr<StreamTrace> trace;
   std::unique_ptr<DmpStreamingServer> server;
 };
+
+// Static streaming as sessions build it: StreamScheme::kStatic, i.e. the
+// DMP core running a `weighted` split that does not reroute on faults.
+std::unique_ptr<StreamServer> make_static_server(
+    Scheduler& sched, double mu_pps, std::vector<RenoSender*> senders,
+    SimTime start, SimTime duration, std::vector<double> weights = {}) {
+  SessionConfig config;
+  config.scheme = StreamScheme::kStatic;
+  config.mu_pps = mu_pps;
+  config.static_weights = std::move(weights);
+  return make_stream_server(config, sched, std::move(senders), start,
+                            duration);
+}
 
 TEST(DmpStreaming, DeliversEveryPacketExactlyOnce) {
   TwoPathRig rig(2e6, 2e6, 100.0, 60.0);
@@ -125,6 +140,21 @@ TEST(DmpStreaming, SinglePathDegeneratesGracefully) {
             server.packets_generated());
 }
 
+TEST(DmpStreaming, RejectsNonPositiveOrNanMu) {
+  // mu is validated before the generation period 1/mu is computed.
+  Scheduler sched;
+  DumbbellPath path(sched, BottleneckConfig{2e6, SimTime::millis(20), 50});
+  TcpConfig tcp;
+  auto conn = make_connection(sched, 1, path, tcp);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double mu : {0.0, -1.0, nan}) {
+    EXPECT_THROW(DmpStreamingServer(sched, mu, {conn.sender.get()},
+                                    SimTime::zero(), SimTime::seconds(10)),
+                 std::invalid_argument)
+        << "mu " << mu;
+  }
+}
+
 TEST(StaticStreaming, RoundRobinSplitIsExactlyEven) {
   Scheduler sched;
   DumbbellPath p1(sched, BottleneckConfig{2e6, SimTime::millis(20), 50});
@@ -139,9 +169,9 @@ TEST(StaticStreaming, RoundRobinSplitIsExactlyEven) {
   c2.sink->set_deliver_callback([&](std::int64_t tag, SimTime) {
     trace.record(tag, sched.now(), 1);
   });
-  StaticStreamingServer server(sched, 100.0,
-                               {c1.sender.get(), c2.sender.get()},
-                               SimTime::zero(), SimTime::seconds(50));
+  auto server = make_static_server(sched, 100.0,
+                                   {c1.sender.get(), c2.sender.get()},
+                                   SimTime::zero(), SimTime::seconds(50));
   sched.run_until(SimTime::seconds(100));
   const auto split = trace.path_split(2);
   EXPECT_NEAR(split[0], 0.5, 0.01);
@@ -171,10 +201,10 @@ TEST(StaticStreaming, WeightedSplitFollowsWeights) {
   c2.sink->set_deliver_callback([&](std::int64_t tag, SimTime) {
     trace.record(tag, sched.now(), 1);
   });
-  StaticStreamingServer server(sched, 100.0,
-                               {c1.sender.get(), c2.sender.get()},
-                               SimTime::zero(), SimTime::seconds(60),
-                               {3.0, 1.0});
+  auto server = make_static_server(sched, 100.0,
+                                   {c1.sender.get(), c2.sender.get()},
+                                   SimTime::zero(), SimTime::seconds(60),
+                                   {3.0, 1.0});
   sched.run_until(SimTime::seconds(120));
   const auto split = trace.path_split(2);
   EXPECT_NEAR(split[0], 0.75, 0.01);
@@ -187,15 +217,15 @@ TEST(StaticStreaming, RejectsBadWeights) {
   TcpConfig tcp;
   auto c1 = make_connection(sched, 1, p1, tcp);
   auto c2 = make_connection(sched, 2, p1, tcp);
-  EXPECT_THROW(StaticStreamingServer(sched, 50.0,
-                                     {c1.sender.get(), c2.sender.get()},
-                                     SimTime::zero(), SimTime::seconds(10),
-                                     {1.0}),
+  EXPECT_THROW(make_static_server(sched, 50.0,
+                                  {c1.sender.get(), c2.sender.get()},
+                                  SimTime::zero(), SimTime::seconds(10),
+                                  {1.0}),
                std::invalid_argument);
-  EXPECT_THROW(StaticStreamingServer(sched, 50.0,
-                                     {c1.sender.get(), c2.sender.get()},
-                                     SimTime::zero(), SimTime::seconds(10),
-                                     {0.0, 0.0}),
+  EXPECT_THROW(make_static_server(sched, 50.0,
+                                  {c1.sender.get(), c2.sender.get()},
+                                  SimTime::zero(), SimTime::seconds(10),
+                                  {0.0, 0.0}),
                std::invalid_argument);
 }
 
@@ -216,11 +246,11 @@ TEST(StaticStreaming, CongestedPathStrandsItsShare) {
   c2.sink->set_deliver_callback([&](std::int64_t tag, SimTime) {
     trace.record(tag, sched.now(), 1);
   });
-  StaticStreamingServer server(sched, 100.0,
-                               {c1.sender.get(), c2.sender.get()},
-                               SimTime::zero(), SimTime::seconds(60));
+  auto server = make_static_server(sched, 100.0,
+                                   {c1.sender.get(), c2.sender.get()},
+                                   SimTime::zero(), SimTime::seconds(60));
   sched.run_until(SimTime::seconds(120));
-  const auto generated = server.packets_generated();
+  const auto generated = server->packets_generated();
   // Half the stream needs 0.6 Mbps but path 2 offers ~0.3 Mbps.
   EXPECT_GT(trace.late_fraction_playback_order(5.0, generated), 0.2);
 }

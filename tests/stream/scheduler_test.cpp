@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -123,11 +124,30 @@ TEST(WeightedSplit, AssignAmongSkipsExcludedPaths) {
   EXPECT_LT(k, 3u);
 }
 
+TEST(PathScheduler, OnlyStaticWeightedSplitIgnoresFaults) {
+  EXPECT_TRUE(PullScheduler(2).reroutes_on_fault());
+  EXPECT_TRUE(WeightedScheduler(2, {}).reroutes_on_fault());
+  EXPECT_FALSE(WeightedScheduler(2, {}, /*reroutes_on_fault=*/false)
+                   .reroutes_on_fault());
+  for (const char* spec : {"pull", "weighted", "weighted:0.6,0.4",
+                           "best_path", "round_robin", "redundant",
+                           "parity-4"}) {
+    EXPECT_TRUE(make_path_scheduler(SchedulerSpec::parse(spec), 2)
+                    ->reroutes_on_fault())
+        << spec;
+  }
+}
+
 TEST(WeightedSplit, RejectsBadWeights) {
   EXPECT_THROW(WeightedSplit(0, {}), std::invalid_argument);
   EXPECT_THROW(WeightedSplit(2, {1.0}), std::invalid_argument);
   EXPECT_THROW(WeightedSplit(2, {1.0, -0.5}), std::invalid_argument);
   EXPECT_THROW(WeightedSplit(2, {0.0, 0.0}), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(WeightedSplit(2, {nan, nan}), std::invalid_argument);
+  EXPECT_THROW(WeightedSplit(2, {inf, 1.0}), std::invalid_argument);
+  EXPECT_THROW(WeightedSplit(2, {1e308, 1e308}), std::invalid_argument);
 }
 
 // --- redundancy filter ---

@@ -8,8 +8,9 @@
 
 #include "net/topology.hpp"
 #include "stream/dmp_server.hpp"
-#include "stream/static_server.hpp"
+#include "stream/session.hpp"
 #include "stream/stored_server.hpp"
+#include "stream/stream_server.hpp"
 #include "stream/trace.hpp"
 #include "tcp/connection.hpp"
 
@@ -55,17 +56,22 @@ TEST_P(SchemeSweep, ConservationExactlyOnce) {
 
   std::int64_t total = 0;
   std::unique_ptr<DmpStreamingServer> dmp;
-  std::unique_ptr<StaticStreamingServer> fixed;
+  std::unique_ptr<StreamServer> fixed;
   std::unique_ptr<StoredStreamingServer> stored;
   switch (scheme) {
     case Scheme::kDmp:
       dmp = std::make_unique<DmpStreamingServer>(
           rig.sched, 80.0, senders, SimTime::zero(), SimTime::seconds(60));
       break;
-    case Scheme::kStatic:
-      fixed = std::make_unique<StaticStreamingServer>(
-          rig.sched, 80.0, senders, SimTime::zero(), SimTime::seconds(60));
+    case Scheme::kStatic: {
+      // Built as sessions build it: the DMP core with the static policy.
+      SessionConfig config;
+      config.scheme = StreamScheme::kStatic;
+      config.mu_pps = 80.0;
+      fixed = make_stream_server(config, rig.sched, senders, SimTime::zero(),
+                                 SimTime::seconds(60));
       break;
+    }
     case Scheme::kStored:
       stored = std::make_unique<StoredStreamingServer>(rig.sched, 4800,
                                                        senders);
