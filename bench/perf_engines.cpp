@@ -9,6 +9,8 @@
 #include "apps/background.hpp"
 #include "model/chain_cache.hpp"
 #include "model/composed_chain.hpp"
+#include "net/demux.hpp"
+#include "net/link.hpp"
 #include "sim/scheduler.hpp"
 #include "stream/session.hpp"
 
@@ -96,6 +98,43 @@ void BM_PacketLevelSessionQdisc(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketLevelSessionQdisc)->DenseRange(0, 3)
     ->Unit(benchmark::kMillisecond);
+
+// One Table-1 drop-tail bottleneck feeding a per-flow demux, loaded at
+// line rate by 64 interleaved flows in the session's id shapes (video
+// 0..3, background 1000+j).  Each iteration sends one packet and runs the
+// link for one transmission time, so steady state is one send -> tx-done
+// -> delivery per iteration with ~40 ms of packets in flight; both per-flow
+// lookups (bottleneck counters, exit demux) see a different flow almost
+// every packet.
+void BM_BottleneckManyFlows(benchmark::State& state) {
+  constexpr std::size_t kFlows = 64;
+  std::vector<FlowId> flows;
+  for (FlowId k = 0; k < 4; ++k) flows.push_back(k);
+  for (FlowId j = 0; flows.size() < kFlows; ++j) flows.push_back(1000 + j);
+  Scheduler sched;
+  Link bottleneck(sched, LinkConfig{3.7e6, SimTime::millis(40), 50});
+  FlowDemux demux;
+  std::uint64_t delivered = 0;
+  for (const FlowId flow : flows) {
+    demux.register_flow(flow, [&delivered](const Packet&) { ++delivered; });
+  }
+  bottleneck.set_receiver(&demux);
+  const SimTime tx = transmission_time(kDataPacketBytes, 3.7e6);
+  Packet p;
+  p.size_bytes = kDataPacketBytes;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    next = (next + 37) % kFlows;  // 37 is coprime to 64: every flow in turn
+    p.flow = flows[next];
+    ++p.seq;
+    bottleneck.send(p);
+    sched.run_until(sched.now() + tx);
+  }
+  benchmark::DoNotOptimize(delivered);
+  if (bottleneck.total_drops() != 0) state.SkipWithError("bottleneck dropped");
+  bench::set_items_per_iteration(state, 1);
+}
+BENCHMARK(BM_BottleneckManyFlows);
 
 void BM_TcpChainBuildAndSolve(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,16 +1,15 @@
 // Per-flow demultiplexer: routes packets leaving a shared pipeline stage to
 // the endpoint (TCP sender or sink) registered for their flow id.
 //
-// Storage is a flat vector scanned linearly: a pipeline stage serves a
-// handful of flows (two video flows plus a few background ids), where a
-// scan over 8-byte keys beats unordered_map's hash + bucket chase on every
-// delivered packet.  Registration replaces an existing entry, preserving
-// the old map semantics.
+// The exit of a Table-1 bottleneck serves every video and background flow
+// on the path, so the lookup is a FlowTable (O(1), open-addressed) rather
+// than a scan.  Registration replaces an existing entry, preserving the old
+// map semantics.
 #pragma once
 
 #include <utility>
-#include <vector>
 
+#include "net/flow_table.hpp"
 #include "net/packet.hpp"
 
 namespace dmp {
@@ -18,24 +17,13 @@ namespace dmp {
 class FlowDemux {
  public:
   void register_flow(FlowId flow, PacketHandler handler) {
-    for (auto& entry : handlers_) {
-      if (entry.first == flow) {
-        entry.second = std::move(handler);
-        return;
-      }
-    }
-    handlers_.emplace_back(flow, std::move(handler));
+    handlers_[flow] = std::move(handler);
   }
 
   void deliver(const Packet& p) const {
-    for (const auto& entry : handlers_) {
-      if (entry.first == p.flow) {
-        entry.second(p);
-        return;
-      }
-    }
     // Packets for unregistered flows are silently discarded (e.g. traffic
     // arriving after an endpoint was torn down).
+    if (const PacketHandler* handler = handlers_.find(p.flow)) (*handler)(p);
   }
 
   PacketHandler as_handler() {
@@ -43,7 +31,7 @@ class FlowDemux {
   }
 
  private:
-  std::vector<std::pair<FlowId, PacketHandler>> handlers_;
+  FlowTable<PacketHandler> handlers_;
 };
 
 }  // namespace dmp

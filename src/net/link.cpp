@@ -27,21 +27,6 @@ Link::Link(Scheduler& sched, LinkConfig config)
                                            EventCategory::kLinkDelivery);
 }
 
-LinkFlowCounters& Link::flow_slot(FlowId flow) {
-  if (flow_hint_ < per_flow_.size() && per_flow_[flow_hint_].first == flow) {
-    return per_flow_[flow_hint_].second;
-  }
-  for (std::size_t i = 0; i < per_flow_.size(); ++i) {
-    if (per_flow_[i].first == flow) {
-      flow_hint_ = i;
-      return per_flow_[i].second;
-    }
-  }
-  flow_hint_ = per_flow_.size();
-  per_flow_.emplace_back(flow, LinkFlowCounters{});
-  return per_flow_.back().second;
-}
-
 void Link::record_flight(const Packet& p, obs::FlightEventKind kind,
                          std::size_t queue_depth, obs::DropCause cause) {
   obs::FlightEvent e;
@@ -64,7 +49,7 @@ void Link::record_flight(const Packet& p, obs::FlightEventKind kind,
 // stay byte-identical to the pre-qdisc implementation.
 void Link::on_qdisc_drop(const Packet& victim, QdiscDropReason reason) {
   ++total_drops_;
-  ++flow_slot(victim.flow).drops;
+  ++per_flow_[victim.flow].drops;
   if (m_drops_) m_drops_->inc();
   if (m_early_drops_ && reason == QdiscDropReason::kEarly) {
     m_early_drops_->inc();
@@ -99,7 +84,7 @@ void Link::on_qdisc_drop(const Packet& victim, QdiscDropReason reason) {
 void Link::send(const Packet& p) {
   ++total_arrivals_;
   if (m_arrivals_) m_arrivals_->inc();
-  ++flow_slot(p.flow).arrivals;
+  ++per_flow_[p.flow].arrivals;
 
   // Injected faults discard on arrival.  These are not congestion drops:
   // they bypass the qdisc (and its counters) entirely so the measured p_k
@@ -164,8 +149,7 @@ void Link::on_transmit_done() {
   if (m_delivered_) m_delivered_->inc();
   if (ts_delivered_) ts_delivered_->bump(sched_.now());
   const SimTime when = sched_.now() + config_.prop_delay;
-  if (deliveries_head_ < deliveries_.size() &&
-      when < deliveries_.back().when) {
+  if (!deliveries_.empty() && when < deliveries_.back().when) {
     // rescale() shrank the propagation delay under packets already on the
     // wire: this delivery undercuts the FIFO tail, so it takes the legacy
     // one-entry path (the seq is claimed at the same point either way, so
@@ -174,12 +158,11 @@ void Link::on_transmit_done() {
     sched_.post_at(when, [this, delivered] { deliver(delivered); },
                    EventCategory::kLinkDelivery);
   } else {
-    // Batched path: claim the (when, seq) key now, park the pooled packet
-    // in the link's FIFO, and keep exactly one armed head in the queue.
+    // Batched path: claim the (when, seq) key now, park the packet in the
+    // link's FIFO, and keep exactly one armed head in the queue.
     const Scheduler::Deferred d = sched_.defer_at(when);
-    const bool was_empty = deliveries_head_ == deliveries_.size();
-    deliveries_.push_back(PendingDelivery{d.when, d.seq,
-                                          pool_.acquire(in_flight_)});
+    const bool was_empty = deliveries_.empty();
+    deliveries_.push_back(PendingDelivery{d.when, d.seq, in_flight_});
     if (was_empty) sched_.arm_deferred(d, delivery_port_id_);
   }
   transmitting_ = false;
@@ -201,16 +184,14 @@ void Link::on_delivery() {
   // Pop the FIFO head, re-arm the successor (its key was claimed when it
   // was scheduled, so arming order cannot disturb pop order), then hand the
   // packet downstream.
-  const PendingDelivery head = deliveries_[deliveries_head_++];
-  if (deliveries_head_ < deliveries_.size()) {
-    const PendingDelivery& next = deliveries_[deliveries_head_];
+  const Packet head = deliveries_.front().packet;
+  deliveries_.pop_front();
+  if (!deliveries_.empty()) {
+    const PendingDelivery& next = deliveries_.front();
     sched_.arm_deferred(Scheduler::Deferred{next.when, next.seq},
                         delivery_port_id_);
-  } else {
-    deliveries_.clear();
-    deliveries_head_ = 0;
   }
-  deliver(pool_.take(head.ref));
+  deliver(head);
 }
 
 void Link::deliver(const Packet& p) {
@@ -244,10 +225,8 @@ void Link::rescale(double bw_factor, double delay_factor) {
 }
 
 LinkFlowCounters Link::flow_counters(FlowId flow) const {
-  for (const auto& entry : per_flow_) {
-    if (entry.first == flow) return entry.second;
-  }
-  return LinkFlowCounters{};
+  const LinkFlowCounters* counters = per_flow_.find(flow);
+  return counters ? *counters : LinkFlowCounters{};
 }
 
 void Link::attach_metrics(obs::MetricsRegistry& registry,

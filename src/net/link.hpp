@@ -10,11 +10,10 @@
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "net/demux.hpp"
+#include "net/flow_table.hpp"
 #include "net/packet.hpp"
-#include "net/packet_pool.hpp"
 #include "net/qdisc/droptail.hpp"
 #include "net/qdisc/queue_discipline.hpp"
 #include "obs/event_log.hpp"
@@ -22,6 +21,7 @@
 #include "obs/metrics.hpp"
 #include "obs/telemetry/time_series.hpp"
 #include "sim/scheduler.hpp"
+#include "util/ring_fifo.hpp"
 #include "util/sim_time.hpp"
 
 namespace dmp {
@@ -90,6 +90,12 @@ class Link {
   // Busy-time integral, for utilization diagnostics.
   double utilization(SimTime elapsed) const;
 
+  // Packets propagating (transmitted, not yet delivered) and the slots
+  // reserved for them; capacity tracks the in-flight high-water mark, not
+  // the traffic carried.
+  std::size_t in_flight() const { return deliveries_.size(); }
+  std::size_t in_flight_capacity() const { return deliveries_.capacity(); }
+
   // --- fault hooks (src/fault/; all inert until first used) ---
   // While down the link drops every arrival (counted in fault_drops(), NOT
   // in the congestion counters the measured p_k is built from), finishes
@@ -139,12 +145,12 @@ class Link {
 
  private:
   // One in-flight delivery: a (when, seq) key claimed from the scheduler at
-  // schedule time plus the pooled packet.  Only the FIFO head is armed in
+  // schedule time plus the packet itself.  Only the FIFO head is armed in
   // the event queue; the rest wait here (docs/DES_ENGINE.md).
   struct PendingDelivery {
     SimTime when;
-    std::uint64_t seq;
-    PacketPool::Ref ref;
+    std::uint64_t seq = 0;
+    Packet packet;
   };
 
   static void tx_done_port(void* ctx) {
@@ -159,10 +165,9 @@ class Link {
   void on_delivery();
   void deliver(const Packet& p);
   void on_qdisc_drop(const Packet& victim, QdiscDropReason reason);
-  LinkFlowCounters& flow_slot(FlowId flow);
 
   // Devirtualized queue ops for the default discipline: DropTailQdisc is
-  // final, so these inline to deque operations; AQM links take the
+  // final, so these inline to ring operations; AQM links take the
   // virtual call.  Identical semantics either way.
   std::size_t qlen() const {
     return droptail_ ? droptail_->len() : qdisc_->len();
@@ -210,17 +215,15 @@ class Link {
   std::uint64_t total_drops_ = 0;
   std::uint64_t total_delivered_ = 0;
   SimTime busy_time_ = SimTime::zero();
-  // Flat per-flow counters: a link carries a handful of flows, and send()
-  // touches this on every arrival — a hinted linear scan beats hashing.
-  std::vector<std::pair<FlowId, LinkFlowCounters>> per_flow_;
-  std::size_t flow_hint_ = 0;  // index of the last flow touched
+  // Per-flow counters, touched on every arrival: a bottleneck interleaves
+  // ~55 flows, so the lookup is O(1) rather than a scan.
+  FlowTable<LinkFlowCounters> per_flow_;
 
   // In-flight deliveries (FIFO by construction: propagation delay is
-  // constant between rescales, so (when, seq) is nondecreasing).  Head is
-  // armed in the scheduler; `deliveries_head_` is the ring's pop cursor.
-  std::vector<PendingDelivery> deliveries_;
-  std::size_t deliveries_head_ = 0;
-  PacketPool pool_;
+  // constant between rescales, so (when, seq) is nondecreasing).  The head
+  // is armed in the scheduler; a busy link never drains this, so it is a
+  // ring sized by the in-flight high-water mark.
+  RingFifo<PendingDelivery> deliveries_;
   std::uint32_t tx_done_port_id_ = 0;
   std::uint32_t delivery_port_id_ = 0;
 

@@ -1,12 +1,13 @@
 // DropTail behind the QueueDiscipline interface: the legacy Link::send
 // admit/drop decision, verbatim.  Tail-drops when the buffer is full,
 // otherwise FIFO; no controller state, no RNG — the default configuration
-// stays byte-identical to the pre-interface link (golden-pinned).
+// stays byte-identical to the pre-interface link (golden-pinned).  The
+// queue is a RingFifo: a standing bottleneck queue cycles through the same
+// few slots instead of allocating deque chunks as it moves.
 #pragma once
 
-#include <deque>
-
 #include "net/qdisc/queue_discipline.hpp"
+#include "util/ring_fifo.hpp"
 
 namespace dmp {
 
@@ -37,7 +38,7 @@ class DropTailQdisc final : public QueueDiscipline {
 
  private:
   std::size_t buffer_packets_;
-  std::deque<Packet> queue_;
+  RingFifo<Packet> queue_;
 };
 
 }  // namespace dmp

@@ -187,6 +187,14 @@ SessionResult run_session(const SessionConfig& config) {
   const SimTime epoch = SimTime::seconds(config.warmup_s);
   if (flight) flight->set_meta(config.mu_pps, epoch.ns());
   StreamTrace trace(config.mu_pps);
+  // Each generated packet is recorded at most once, and the source emits one
+  // every 1/mu for the stream's duration (stored video: mu * duration in
+  // total), so one reservation holds the whole session's trace.
+  const SimTime duration = SimTime::seconds(config.duration_s);
+  const SimTime period = SimTime::seconds(1.0 / config.mu_pps);
+  if (duration.ns() > 0 && period.ns() > 0) {
+    trace.reserve(static_cast<std::size_t>(duration.ns() / period.ns() + 1));
+  }
   for (std::size_t k = 0; k < config.num_flows; ++k) {
     const auto path32 = static_cast<std::uint32_t>(k);
     // Per-path arrival counter and end-to-end delay histogram (generation
@@ -253,7 +261,6 @@ SessionResult run_session(const SessionConfig& config) {
   }
 
   // --- server (scheme under test; one interface, no per-scheme wiring) ---
-  const SimTime duration = SimTime::seconds(config.duration_s);
   std::unique_ptr<StreamServer> server = make_stream_server(
       config, sched, senders, epoch, duration, scheduler_spec);
   if (registry) {

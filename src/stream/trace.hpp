@@ -30,6 +30,9 @@ class StreamTrace {
   explicit StreamTrace(double mu_pps);
 
   void record(std::int64_t packet_number, SimTime arrived, std::uint32_t path);
+  // Room for `arrivals` records, so a caller that knows the packet count
+  // records a whole session without reallocating.
+  void reserve(std::size_t arrivals) { entries_.reserve(arrivals); }
 
   // Generation instant of packet n (generation starts at time 0).
   SimTime generation_time(std::int64_t n) const;

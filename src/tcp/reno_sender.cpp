@@ -118,7 +118,7 @@ void RenoSender::transmit(const Packet& p) {
   if (when <= last_emission_) when = last_emission_ + SimTime::nanos(1);
   last_emission_ = when;
   const Scheduler::Deferred d = sched_.defer_at(when);
-  const bool was_empty = emissions_head_ == emissions_.size();
+  const bool was_empty = emissions_.empty();
   emissions_.push_back(PendingEmission{d.when, d.seq, p});
   if (was_empty) sched_.arm_deferred(d, emit_port_id_);
 }
@@ -127,16 +127,14 @@ void RenoSender::on_emit() {
   // Pop the ring head, re-arm the successor (its key was claimed when it
   // was scheduled, so arming order cannot disturb pop order), then hand the
   // packet to the network.
-  const PendingEmission head = emissions_[emissions_head_++];
-  if (emissions_head_ < emissions_.size()) {
-    const PendingEmission& next = emissions_[emissions_head_];
+  const Packet head = emissions_.front().p;
+  emissions_.pop_front();
+  if (!emissions_.empty()) {
+    const PendingEmission& next = emissions_.front();
     sched_.arm_deferred(Scheduler::Deferred{next.when, next.seq},
                         emit_port_id_);
-  } else {
-    emissions_.clear();
-    emissions_head_ = 0;
   }
-  out_(head.p);
+  out_(head);
 }
 
 SimTime RenoSender::current_rto() const {

@@ -19,6 +19,7 @@
 #include "obs/telemetry/time_series.hpp"
 #include "sim/scheduler.hpp"
 #include "tcp/tcp_config.hpp"
+#include "util/ring_fifo.hpp"
 #include "util/rng.hpp"
 #include "util/sim_time.hpp"
 
@@ -144,7 +145,7 @@ class RenoSender {
   // construction and only its head is ever armed in the event queue.
   struct PendingEmission {
     SimTime when;
-    std::uint64_t seq;
+    std::uint64_t seq = 0;
     Packet p;
   };
 
@@ -198,10 +199,8 @@ class RenoSender {
 
   Rng jitter_rng_;
   SimTime last_emission_ = SimTime::zero();  // keeps jittered sends FIFO
-  // Jitter-delayed packets waiting for their armed head to fire;
-  // `emissions_head_` is the ring's pop cursor.
-  std::vector<PendingEmission> emissions_;
-  std::size_t emissions_head_ = 0;
+  // Jitter-delayed packets waiting for their armed head to fire.
+  RingFifo<PendingEmission> emissions_;
   std::uint32_t emit_port_id_ = 0;
 
   TcpSenderStats stats_;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 namespace dmp {
@@ -112,6 +115,41 @@ TEST(Link, UtilizationReflectsBusyTime) {
   for (int i = 0; i < 10; ++i) link.send(data_packet(1, i));
   sched.run();
   EXPECT_NEAR(link.utilization(SimTime::millis(200)), 0.5, 1e-9);
+}
+
+// A link at 100% load with propagation far above transmission time never
+// goes idle, so an in-flight store that is only reset when it empties grows
+// with every packet carried.  Storage must track the in-flight high-water
+// mark instead.
+TEST(Link, InFlightStorageBoundedOnLinkThatNeverIdles) {
+  Scheduler sched;
+  // 1500 B at 12 Mbps = 1 ms on the wire; 100 ms propagation keeps ~100
+  // packets in flight.
+  Link link(sched, LinkConfig{12e6, SimTime::millis(100), 0});
+  std::int64_t delivered = 0;
+  std::int64_t next_expected = 0;
+  link.set_receiver([&](const Packet& p) {
+    EXPECT_EQ(p.seq, next_expected++);
+    ++delivered;
+  });
+  constexpr std::int64_t kPackets = 150'000;
+  std::int64_t sent = 0;
+  std::size_t peak_in_flight = 0;
+  std::size_t idle_sends = 0;
+  std::function<void()> tick = [&] {
+    if (sent > 200 && link.in_flight() == 0) ++idle_sends;
+    peak_in_flight = std::max(peak_in_flight, link.in_flight());
+    link.send(data_packet(1, sent++));
+    if (sent < kPackets) sched.post_after(SimTime::millis(1), tick);
+  };
+  sched.post_at(SimTime::zero(), tick);
+  sched.run();
+  EXPECT_EQ(delivered, kPackets);
+  EXPECT_EQ(idle_sends, 0u);  // the delivery FIFO never drained mid-run
+  EXPECT_GE(peak_in_flight, 99u);
+  EXPECT_LE(peak_in_flight, 101u);
+  EXPECT_LE(link.in_flight_capacity(), 2 * peak_in_flight);
+  EXPECT_EQ(link.in_flight(), 0u);
 }
 
 TEST(Link, RejectsNonPositiveBandwidth) {

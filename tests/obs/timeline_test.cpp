@@ -4,9 +4,11 @@
 // recursive-descent parser so a malformed document fails loudly instead of
 // "loading" by substring luck.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
@@ -14,6 +16,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "apps/background.hpp"
@@ -188,7 +191,20 @@ class JsonParser {
 
 // --- one short traced + telemetered session, shared across tests --------
 
+// ctest runs each test in its own process, in parallel: every process
+// writes its session artifacts to a private directory, removed at exit, so
+// none rewrites the telemetry CSV another is reading back.
+struct ArtifactDir {
+  std::filesystem::path path = std::filesystem::path(::testing::TempDir()) /
+                               ("timeline_test_" + std::to_string(::getpid()));
+  ~ArtifactDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+};
+
 const dmp::SessionResult& traced_session() {
+  static const ArtifactDir dir;
   static const dmp::SessionResult result = [] {
     dmp::SessionConfig config;
     config.path_configs = {dmp::table1_config(1), dmp::table1_config(1)};
@@ -200,11 +216,11 @@ const dmp::SessionResult& traced_session() {
     // A short outage on path 1 so the export has fault instants to emit.
     config.faults = "3 link_down path1; 5 link_up path1";
     config.obs.flight_recorder = true;
-    config.obs.output_dir = ::testing::TempDir();
+    config.obs.output_dir = dir.path.string();
     config.obs.prefix = "timeline_test";
     config.telemetry.enabled = true;
     config.telemetry.write_artifacts = true;
-    config.telemetry.output_dir = ::testing::TempDir();
+    config.telemetry.output_dir = dir.path.string();
     config.telemetry.prefix = "timeline_test";
     return dmp::run_session(config);
   }();
