@@ -97,8 +97,9 @@ inline exp::ExperimentPlan plan_for(const std::string& name,
     // DMP_QDISC swaps the bottleneck queue discipline for every session
     // ("droptail" by default — the paper's queues, byte-identical).
     config.qdisc = options.qdisc;
-    // DMP_DES selects the event-queue backend ("calendar" by default;
-    // pop order is bit-identical to "heap", only wall-clock changes).
+    // DMP_DES selects the event-queue backend ("calendar", the radix heap,
+    // by default; pop order is bit-identical to "heap", only wall-clock
+    // changes).
     config.des = options.des;
     plan.settings.push_back({setting.name, std::move(config)});
   }

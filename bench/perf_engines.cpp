@@ -13,6 +13,7 @@
 #include "net/link.hpp"
 #include "sim/scheduler.hpp"
 #include "stream/session.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -31,8 +32,8 @@ ComposedParams composed_setup(int kflows) {
   return params;
 }
 
-// Raw scheduler churn under each backend: arg 0 = calendar (default),
-// arg 1 = heap (the std::push_heap baseline).
+// Raw scheduler churn under each backend: arg 0 = calendar (the default
+// radix-heap queue), arg 1 = heap (the std::push_heap baseline).
 void BM_SchedulerEventChurn(benchmark::State& state) {
   const SchedulerBackend backend = state.range(0) == 0
                                        ? SchedulerBackend::kCalendar
@@ -52,6 +53,83 @@ void BM_SchedulerEventChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerEventChurn)->DenseRange(0, 1);
 
+// The DES queue's layer row: a deterministic, session-shaped op stream on
+// each backend (arg 0 = calendar, arg 1 = heap).  Packet chains alternate
+// a 10 us - 1 ms transmission with a 10-100 ms propagation, and on every
+// other executed event one flow's 0.2-3 s RTO is cancelled and re-armed,
+// leaving the old entry queued as a tombstone — the Reno per-ACK timer
+// pattern.  About 300 entries are pending in steady state.  One iteration
+// is one executed event; the `pending` and `cancelled_per_event` counters
+// describe the stream, which is identical on both backends.
+struct SessionMix {
+  static constexpr int kChains = 10;
+  static constexpr int kFlows = 24;
+
+  struct Chain {
+    SessionMix* mix;
+    std::uint32_t port;
+    bool propagating;
+  };
+
+  explicit SessionMix(SchedulerBackend backend) : sched(backend) {
+    chains.reserve(kChains);
+    for (int i = 0; i < kChains; ++i) {
+      chains.push_back(Chain{this, 0, i % 2 == 0});
+      chains.back().port = sched.register_port(&SessionMix::fire,
+                                               &chains.back());
+      sched.post_port_at(SimTime::zero(), chains.back().port);
+    }
+    rtos.resize(kFlows);
+    for (EventHandle& rto : rtos) rto = arm_rto();
+  }
+  // Ports hold pointers into this object.
+  SessionMix(const SessionMix&) = delete;
+  SessionMix& operator=(const SessionMix&) = delete;
+
+  static void fire(void* ctx) {
+    auto* chain = static_cast<Chain*>(ctx);
+    SessionMix& mix = *chain->mix;
+    const double delay_s = chain->propagating
+                               ? mix.rng.uniform(10e-3, 100e-3)
+                               : mix.rng.uniform(10e-6, 1e-3);
+    chain->propagating = !chain->propagating;
+    mix.sched.post_port_after(SimTime::seconds(delay_s), chain->port);
+    if (++mix.executed % 2 == 0) {
+      EventHandle& rto = mix.rtos[mix.executed / 2 % kFlows];
+      rto.cancel();
+      rto = mix.arm_rto();
+    }
+  }
+
+  EventHandle arm_rto() {
+    return sched.schedule_after(SimTime::seconds(rng.uniform(0.2, 3.0)),
+                                [] {}, EventCategory::kTcpTimer);
+  }
+
+  Scheduler sched;
+  Rng rng{17};
+  std::uint64_t executed = 0;
+  std::vector<Chain> chains;
+  std::vector<EventHandle> rtos;
+};
+
+void BM_EventQueueSessionMix(benchmark::State& state) {
+  const SchedulerBackend backend = state.range(0) == 0
+                                       ? SchedulerBackend::kCalendar
+                                       : SchedulerBackend::kHeap;
+  state.SetLabel(scheduler_backend_name(backend));
+  SessionMix mix(backend);
+  mix.sched.run_until(SimTime::seconds(5.0));  // tombstones reach steady state
+  const std::uint64_t cancelled0 = mix.sched.events_cancelled();
+  for (auto _ : state) benchmark::DoNotOptimize(mix.sched.step());
+  state.counters["pending"] = static_cast<double>(mix.sched.pending_events());
+  state.counters["cancelled_per_event"] =
+      static_cast<double>(mix.sched.events_cancelled() - cancelled0) /
+      static_cast<double>(state.iterations());
+  bench::set_items_per_iteration(state, 1);
+}
+BENCHMARK(BM_EventQueueSessionMix)->DenseRange(0, 1);
+
 void BM_PacketLevelSession(benchmark::State& state) {
   SessionConfig config;
   config.path_configs = {table1_config(4), table1_config(4)};
@@ -65,8 +143,8 @@ void BM_PacketLevelSession(benchmark::State& state) {
 BENCHMARK(BM_PacketLevelSession)->Unit(benchmark::kMillisecond);
 
 // The identical session on the binary-heap backend — the ratio against
-// BM_PacketLevelSession is the calendar queue's end-to-end win, and
-// bench_guard.py checks the calendar arm never regresses below it.
+// BM_PacketLevelSession is the default queue's end-to-end win, and
+// bench_guard.py checks the default arm never regresses below it.
 void BM_PacketLevelSessionHeap(benchmark::State& state) {
   SessionConfig config;
   config.path_configs = {table1_config(4), table1_config(4)};

@@ -16,13 +16,13 @@ must process events within that fraction of BM_PacketLevelSessionQdisc/0
 (the droptail-through-the-interface baseline) from the same run — a ratio
 of two rates from one binary on one runner, so machine-speed independent.
 
-It also guards the calendar-queue DES core on the packet-level session
-bench: an absolute floor on BM_PacketLevelSession events/s (conservative
-for slow shared runners; the floor corresponds to ~70% of the rate
-measured on a 2.1 GHz single-core reference box) and a relative floor
-against BM_PacketLevelSessionHeap from the same run — the calendar
-backend must never fall behind the binary-heap backend it replaced
-(runner-speed independent, a ratio of two rates from one binary).
+It also guards the default DES queue (the radix heap behind
+DMP_DES=calendar) on the packet-level session bench: an absolute floor on
+BM_PacketLevelSession events/s (conservative for slow shared runners; the
+floor corresponds to ~70% of the rate measured on a 2.1 GHz single-core
+reference box) and a relative floor against BM_PacketLevelSessionHeap from
+the same run — the default backend must never fall behind the binary-heap
+backend (runner-speed independent, a ratio of two rates from one binary).
 
 With --obs-report it additionally guards the streaming-telemetry overhead:
 BM_SessionTelemetryOn must process events within --max-obs-overhead
@@ -64,22 +64,22 @@ def best_items_per_second(report, name):
 
 
 def check_session_engine(report, min_events_per_s, min_vs_heap):
-    """Calendar-backend session floor: absolute + relative to the heap arm."""
+    """Default-backend session floor: absolute + relative to the heap arm."""
     failures = []
-    calendar = best_items_per_second(report, "BM_PacketLevelSession")
+    default = best_items_per_second(report, "BM_PacketLevelSession")
     heap = best_items_per_second(report, "BM_PacketLevelSessionHeap")
-    ratio = calendar / heap if heap > 0 else float("inf")
-    print(f"BM_PacketLevelSession (calendar): {calendar / 1e6:8.2f} M events/s")
+    ratio = default / heap if heap > 0 else float("inf")
+    print(f"BM_PacketLevelSession (radix):    {default / 1e6:8.2f} M events/s")
     print(f"BM_PacketLevelSessionHeap:        {heap / 1e6:8.2f} M events/s")
-    print(f"calendar/heap: {ratio:.3f}x  (floors: "
+    print(f"radix/heap: {ratio:.3f}x  (floors: "
           f"{min_events_per_s / 1e6:.1f}M abs, {min_vs_heap}x rel)")
-    if calendar < min_events_per_s:
+    if default < min_events_per_s:
         failures.append(
-            f"session floor violated: {calendar / 1e6:.2f}M < "
+            f"session floor violated: {default / 1e6:.2f}M < "
             f"{min_events_per_s / 1e6:.1f}M events/s")
     if ratio < min_vs_heap:
         failures.append(
-            f"calendar backend fell behind the heap backend: "
+            f"default DES backend fell behind the heap backend: "
             f"{ratio:.3f}x < {min_vs_heap}x")
     return failures
 
@@ -137,7 +137,7 @@ def main():
                              "the droptail arm (fraction, e.g. 0.10)")
     parser.add_argument("--min-session-events-per-s", type=float, default=6.5e6,
                         help="absolute floor on BM_PacketLevelSession "
-                             "(calendar backend) events/s")
+                             "(default DES backend) events/s")
     parser.add_argument("--min-session-vs-heap", type=float, default=0.95,
                         help="BM_PacketLevelSession must reach this fraction "
                              "of BM_PacketLevelSessionHeap")

@@ -58,9 +58,10 @@ struct BenchOptions {
   // byte-identical to the pre-qdisc benches.
   std::string qdisc = "droptail";
   // DMP_DES: discrete-event scheduler backend for every simulated session
-  // a bench runs (calendar | heap).  The calendar queue pops in an order
-  // bit-identical to the heap (docs/DES_ENGINE.md), so this knob changes
-  // wall-clock speed only — artifacts are byte-identical either way.
+  // a bench runs (calendar | heap).  `calendar` names the default bucketed
+  // queue, a radix heap that pops in an order bit-identical to the binary
+  // heap (docs/DES_ENGINE.md), so this knob changes wall-clock speed
+  // only — artifacts are byte-identical either way.
   // Validated by parsing here so a typo'd spec fails before any run starts.
   std::string des = "calendar";
   // DMP_FAULTS: fault-plan spec applied to every simulated session a bench

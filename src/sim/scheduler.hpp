@@ -10,10 +10,12 @@
 //
 //   kHeap     — binary heap (std::push_heap/pop_heap), the original
 //               implementation, kept as the differential-testing reference.
-//   kCalendar — calendar queue (src/sim/calendar_queue.hpp), O(1) amortized
-//               scheduling; the default.  Pop order is bit-identical to the
-//               heap's — both sort on exactly (when, seq) — so every golden
-//               artifact is backend-independent (CI diffs the two).
+//   kCalendar — the default bucketed queue: a monotone radix heap
+//               (src/sim/radix_heap.hpp).  The name is the DMP_DES spec
+//               `calendar`, kept from the calendar queue it replaced.  Pop
+//               order is bit-identical to the heap's — both sort on exactly
+//               (when, seq) — so every golden artifact is
+//               backend-independent (CI diffs the two).
 //
 // Hot-path cost model: callables live in a pooled slab of EventFn slots
 // (inline storage, no per-event heap allocation) and queue entries carry
@@ -48,9 +50,9 @@
 #include <string>
 #include <vector>
 
-#include "sim/calendar_queue.hpp"
 #include "sim/event_fn.hpp"
 #include "sim/profiler.hpp"
+#include "sim/radix_heap.hpp"
 #include "util/sim_time.hpp"
 
 namespace dmp {
@@ -245,10 +247,12 @@ class Scheduler {
   // order on exactly (when, seq).
   bool q_empty() const { return q_size() == 0; }
   std::size_t q_size() const {
-    return backend_ == SchedulerBackend::kCalendar ? cal_.size() : heap_.size();
+    return backend_ == SchedulerBackend::kCalendar ? radix_.size()
+                                                   : heap_.size();
   }
   const Entry& q_min() {
-    return backend_ == SchedulerBackend::kCalendar ? cal_.min() : heap_.front();
+    return backend_ == SchedulerBackend::kCalendar ? radix_.min()
+                                                   : heap_.front();
   }
   Entry q_pop();
 
@@ -268,14 +272,14 @@ class Scheduler {
   std::vector<std::uint32_t> free_fns_;    // recycled slab indexes
   std::vector<Port> ports_;
   std::vector<Entry> heap_;                // kHeap backend (std::*_heap)
-  CalendarQueue<Entry> cal_;               // kCalendar backend
+  RadixHeap<Entry> radix_;                 // kCalendar backend
 };
 
 // --- inline hot paths (one call per simulated packet hop) ---
 
 inline void Scheduler::push_entry(const Entry& e) {
   if (backend_ == SchedulerBackend::kCalendar) {
-    cal_.push(e);
+    radix_.push(e);
   } else {
     heap_.push_back(e);
     std::push_heap(heap_.begin(), heap_.end(), Later{});
@@ -283,7 +287,7 @@ inline void Scheduler::push_entry(const Entry& e) {
 }
 
 inline Scheduler::Entry Scheduler::q_pop() {
-  if (backend_ == SchedulerBackend::kCalendar) return cal_.pop_min();
+  if (backend_ == SchedulerBackend::kCalendar) return radix_.pop_min();
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   const Entry e = heap_.back();
   heap_.pop_back();

@@ -69,8 +69,10 @@ struct SessionConfig {
   // default reproduces the paper's drop-tail bottlenecks byte-identically.
   std::string qdisc = "droptail";
   // DES event-queue backend (the DMP_DES bench knob): calendar | heap.
-  // The calendar queue is the default and pops in an order bit-identical
-  // to the binary heap ((when, seq) tie-breaking — docs/DES_ENGINE.md);
+  // `calendar` names the default bucketed queue (a monotone radix heap;
+  // the spec keeps the name of the calendar queue it replaced) and pops in
+  // an order bit-identical to the binary heap ((when, seq) tie-breaking —
+  // docs/DES_ENGINE.md);
   // `heap` keeps the std::push_heap baseline selectable for differential
   // runs and benchmarks.  Parsed and validated before any network is built.
   std::string des = "calendar";

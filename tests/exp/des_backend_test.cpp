@@ -1,8 +1,8 @@
-// DES backend contract at the session level: the calendar queue is pure
-// wall-clock tuning, so a full packet-level session must produce the same
-// trajectory — trace, counters, per-path measurements — under kHeap and
-// kCalendar, and the calendar (the default) must preserve the experiment
-// engine's thread-count invariance.  DMP_DES is validated like every other
+// DES backend contract at the session level: the queue behind the
+// `calendar` spec (a radix heap) changes wall-clock time only, so a full
+// packet-level session must produce the same trajectory — trace, counters,
+// per-path measurements — under kHeap and kCalendar, and the default must
+// preserve the experiment engine's thread-count invariance.  DMP_DES is validated like every other
 // knob: unknown backends fail fast at options parse time.
 #include <gtest/gtest.h>
 
