@@ -455,7 +455,7 @@ ServerStats DmpInetServer::run() {
   for (std::size_t i = 0; i < connections.size(); ++i) {
     stats.sent_per_path[i] = connections[i].sent_frames;
   }
-  if (config_.metrics) config_.metrics->freeze_gauges();
+  if (config_.metrics) config_.metrics->freeze_samplers();
   if (config_.events && config_.events->enabled(obs::Severity::kInfo)) {
     config_.events->record(
         elapsed_s(), obs::Severity::kInfo, "stream_end",

@@ -43,17 +43,13 @@ void Link::record_flight(const Packet& p, obs::FlightEventKind kind,
 
 // Every congestion discard — the arriving packet on a full/early-dropping
 // queue, a different victim (FQ-PIE overlimit) or a queued head (CoDel) —
-// funnels through here, so counters, metrics, the event log and the flight
-// recorder see AQM drops exactly the way they saw drop-tail ones.  The
-// drop-cause annotations are gated on `aqm_`: a droptail link's artifacts
-// stay byte-identical to the pre-qdisc implementation.
+// funnels through here (after the qdisc tallied it), so per-flow counters,
+// telemetry, the event log and the flight recorder see AQM drops exactly
+// the way they saw drop-tail ones.  The drop-cause annotations are gated
+// on `aqm_`: a droptail link's artifacts stay byte-identical to the
+// pre-qdisc implementation.
 void Link::on_qdisc_drop(const Packet& victim, QdiscDropReason reason) {
-  ++total_drops_;
   ++per_flow_[victim.flow].drops;
-  if (m_drops_) m_drops_->inc();
-  if (m_early_drops_ && reason == QdiscDropReason::kEarly) {
-    m_early_drops_->inc();
-  }
   if (ts_drops_) ts_drops_->bump(sched_.now());
   if (event_log_ && event_log_->enabled(obs::Severity::kWarn)) {
     if (aqm_) {
@@ -83,7 +79,6 @@ void Link::on_qdisc_drop(const Packet& victim, QdiscDropReason reason) {
 
 void Link::send(const Packet& p) {
   ++total_arrivals_;
-  if (m_arrivals_) m_arrivals_->inc();
   ++per_flow_[p.flow].arrivals;
 
   // Injected faults discard on arrival.  These are not congestion drops:
@@ -146,7 +141,6 @@ void Link::on_transmit_done() {
   // Propagation is pipelined: delivery is scheduled and the transmitter is
   // immediately free for the next queued packet.
   ++total_delivered_;
-  if (m_delivered_) m_delivered_->inc();
   if (ts_delivered_) ts_delivered_->bump(sched_.now());
   const SimTime when = sched_.now() + config_.prop_delay;
   if (!deliveries_.empty() && when < deliveries_.back().when) {
@@ -231,10 +225,16 @@ LinkFlowCounters Link::flow_counters(FlowId flow) const {
 
 void Link::attach_metrics(obs::MetricsRegistry& registry,
                           const std::string& prefix) {
-  m_arrivals_ = &registry.counter(prefix + ".arrivals");
-  m_drops_ = &registry.counter(prefix + ".drops");
-  m_delivered_ = &registry.counter(prefix + ".delivered");
-  if (aqm_) m_early_drops_ = &registry.counter(prefix + ".early_drops");
+  registry.counter(prefix + ".arrivals")
+      .set_sampler([this] { return total_arrivals_; });
+  registry.counter(prefix + ".drops")
+      .set_sampler([this] { return total_drops(); });
+  registry.counter(prefix + ".delivered")
+      .set_sampler([this] { return total_delivered_; });
+  if (aqm_) {
+    registry.counter(prefix + ".early_drops")
+        .set_sampler([this] { return qdisc_->counters().early_drops; });
+  }
   registry.gauge(prefix + ".queue_depth")
       .set_sampler([this] { return static_cast<double>(qdisc_->len()); });
 }

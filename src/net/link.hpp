@@ -76,9 +76,12 @@ class Link {
   std::size_t queue_length() const { return qlen(); }
   const LinkConfig& config() const { return config_; }
 
-  // Aggregate and per-flow counters.
+  // Aggregate and per-flow counters.  Every congestion discard is a qdisc
+  // discard, so the drop total is the qdisc's per-reason tallies summed.
   std::uint64_t total_arrivals() const { return total_arrivals_; }
-  std::uint64_t total_drops() const { return total_drops_; }
+  std::uint64_t total_drops() const {
+    return qdisc_->counters().overlimit_drops + qdisc_->counters().early_drops;
+  }
   std::uint64_t total_delivered() const { return total_delivered_; }
   LinkFlowCounters flow_counters(FlowId flow) const;
 
@@ -115,10 +118,11 @@ class Link {
 
   // --- observability (all optional; no-ops when never called) ---
   // Registers `<prefix>.queue_depth` (gauge, samples this link) and
-  // `<prefix>.{arrivals,drops,delivered}` (counters, incremented on the
-  // hot path alongside the local totals).  Non-droptail links additionally
-  // register `<prefix>.early_drops` (AQM controller discards), so default
-  // runs export exactly the legacy metric set.
+  // `<prefix>.{arrivals,drops,delivered}` (counters that read the totals
+  // above when the report is written; nothing is added to the hot path).
+  // Non-droptail links additionally register `<prefix>.early_drops` (AQM
+  // controller discards), so default runs export exactly the legacy metric
+  // set.
   void attach_metrics(obs::MetricsRegistry& registry,
                       const std::string& prefix);
   // Emits a kWarn "drop" event per congestion discard ("fault_drop" for
@@ -212,7 +216,6 @@ class Link {
   std::uint64_t fault_drops_ = 0;
 
   std::uint64_t total_arrivals_ = 0;
-  std::uint64_t total_drops_ = 0;
   std::uint64_t total_delivered_ = 0;
   SimTime busy_time_ = SimTime::zero();
   // Per-flow counters, touched on every arrival: a bottleneck interleaves
@@ -231,10 +234,6 @@ class Link {
                      std::size_t queue_depth,
                      obs::DropCause cause = obs::DropCause::kNone);
 
-  obs::Counter* m_arrivals_ = nullptr;
-  obs::Counter* m_drops_ = nullptr;
-  obs::Counter* m_early_drops_ = nullptr;
-  obs::Counter* m_delivered_ = nullptr;
   obs::EventLog* event_log_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   std::int32_t flight_hop_ = -1;

@@ -1,13 +1,15 @@
 // Metrics registry: named counters, gauges and log-bucketed histograms.
 //
-// Instrumented components hold plain pointers into a registry (null when no
-// observer is attached), so the un-instrumented hot path costs one branch
-// and the instrumented path one increment — there is no locking, string
-// hashing or allocation anywhere near packet processing.  Gauges can either
-// store a value or pull one on demand through a sampler callback; sampler
-// gauges are what `Probe` snapshots into time series.  The registry owns
-// every metric and guarantees stable addresses for the lifetime of the
-// registry (node-based map storage).
+// Components register views over the stats they already keep: counters and
+// gauges can pull their value on demand through a sampler callback, read
+// only when a report or probe row is written, so the hot path pays nothing
+// for a registry.  Where a count exists nowhere else, the component holds
+// a plain pointer into the registry (null when no observer is attached) and
+// pays one branch and one increment — there is no locking, string hashing
+// or allocation anywhere near packet processing.  Sampler gauges are what
+// `Probe` snapshots into time series.  The registry owns every metric and
+// guarantees stable addresses for the lifetime of the registry (node-based
+// map storage).
 #pragma once
 
 #include <array>
@@ -18,14 +20,30 @@
 
 namespace dmp::obs {
 
-// Monotonic event counter (retransmits, drops, pulls, ...).
+// Monotonic event counter (retransmits, drops, pulls, ...).  Either
+// incremented explicitly or a view: a sampler that reads a count the
+// instrumented object already keeps, so the hot path bumps one plain field
+// and the registry holds no second copy of it.
 class Counter {
  public:
   void inc(std::uint64_t n = 1) { value_ += n; }
-  std::uint64_t value() const { return value_; }
+  void set_sampler(std::function<std::uint64_t()> fn) {
+    sampler_ = std::move(fn);
+  }
+
+  std::uint64_t value() const { return sampler_ ? sampler_() : value_; }
+  // Replaces a sampler with its current value; used before a registry
+  // outlives the objects its samplers point into.
+  void freeze() {
+    if (sampler_) {
+      value_ = sampler_();
+      sampler_ = nullptr;
+    }
+  }
 
  private:
   std::uint64_t value_ = 0;
+  std::function<std::uint64_t()> sampler_;
 };
 
 // Point-in-time value (cwnd, queue depth, RTT estimate, ...).  Either set
@@ -111,9 +129,9 @@ class MetricsRegistry {
     return histograms_;
   }
 
-  // Evaluates and detaches every gauge sampler; call before the registry
-  // outlives the instrumented objects.
-  void freeze_gauges();
+  // Evaluates and detaches every counter and gauge sampler; call before
+  // the registry outlives the instrumented objects.
+  void freeze_samplers();
 
  private:
   std::map<std::string, Counter> counters_;

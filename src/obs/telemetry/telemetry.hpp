@@ -1,7 +1,7 @@
 // Per-run telemetry hub: one windowed TimeSeries plus named quantile
 // sketches, owned by the session harness and handed to components as raw
 // channel/sketch pointers (null when telemetry is off — same contract as
-// `obs::Counter*`).  The hub itself knows nothing about links or TCP; it
+// `obs::Histogram*`).  The hub itself knows nothing about links or TCP; it
 // is plumbing for the recording points wired in `stream/session`.
 #pragma once
 

@@ -5,7 +5,7 @@
 // run's full time-resolved story in O(duration / window) memory instead of
 // O(events).  Recording is the hot-path operation: instrumented components
 // hold a raw `TimeSeriesChannel*` (null when telemetry is off — the same
-// null-check idiom as `obs::Counter*`) and call `add(t, v)`, which is an
+// null-check idiom as `obs::Histogram*`) and call `add(t, v)`, which is an
 // integer divide plus a handful of compares in the common same-window case.
 //
 // Flushing is deterministic: channels are kept in a name-sorted map with

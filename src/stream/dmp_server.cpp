@@ -42,14 +42,17 @@ DmpStreamingServer::DmpStreamingServer(
 
 void DmpStreamingServer::attach_metrics(obs::MetricsRegistry& registry,
                                         const std::string& prefix) {
-  m_generated_ = &registry.counter(prefix + ".generated");
-  m_pulls_.clear();
+  registry.counter(prefix + ".generated").set_sampler([this] {
+    return static_cast<std::uint64_t>(next_number_);
+  });
   for (std::size_t k = 0; k < senders_.size(); ++k) {
-    m_pulls_.push_back(
-        &registry.counter(prefix + ".pulls.path" + std::to_string(k)));
+    registry.counter(prefix + ".pulls.path" + std::to_string(k))
+        .set_sampler([this, k] { return pulls_[k]; });
   }
-  m_duplicates_ = &registry.counter(prefix + ".sched.duplicates");
-  m_parity_ = &registry.counter(prefix + ".sched.parity");
+  registry.counter(prefix + ".sched.duplicates")
+      .set_sampler([this] { return duplicates_sent_; });
+  registry.counter(prefix + ".sched.parity")
+      .set_sampler([this] { return parity_sent_; });
   registry.gauge(prefix + ".queue_depth").set_sampler([this] {
     return static_cast<double>(queue_.size());
   });
@@ -61,7 +64,6 @@ void DmpStreamingServer::attach_metrics(obs::MetricsRegistry& registry,
 void DmpStreamingServer::generate() {
   const std::int64_t number = next_number_++;
   queue_.push_back(number);
-  if (m_generated_) m_generated_->inc();
   max_queue_ = std::max(max_queue_, queue_.size());
   if (flight_) {
     obs::FlightEvent e;
@@ -121,7 +123,6 @@ void DmpStreamingServer::execute(const SchedDecision& decision) {
       queue_.erase(queue_.begin() +
                    static_cast<std::ptrdiff_t>(decision.queue_pos));
       ++pulls_[k];
-      if (!m_pulls_.empty()) m_pulls_[k]->inc();
       if (flight_) {
         obs::FlightEvent e;
         e.t_ns = sched_.now().ns();
@@ -146,11 +147,9 @@ void DmpStreamingServer::execute(const SchedDecision& decision) {
       const bool dup = decision.kind == SchedDecision::Kind::kDuplicate;
       if (dup) {
         ++duplicates_sent_;
-        if (m_duplicates_) m_duplicates_->inc();
         if (ts_duplicates_) ts_duplicates_->bump(sched_.now());
       } else {
         ++parity_sent_;
-        if (m_parity_) m_parity_->inc();
         if (ts_parity_) ts_parity_->bump(sched_.now());
       }
       if (flight_) {

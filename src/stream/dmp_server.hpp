@@ -65,7 +65,8 @@ class DmpStreamingServer : public StreamServer {
   // Registers `<prefix>.queue_depth` / `<prefix>.max_queue_depth` sampler
   // gauges, the `<prefix>.generated` counter, one `<prefix>.pulls.
   // path<k>` counter per sender, and the `<prefix>.sched.{duplicates,
-  // parity}` redundancy counters.  Optional; a no-op when never called.
+  // parity}` redundancy counters; the counters are views over the
+  // accessors above.  Optional; a no-op when never called.
   void attach_metrics(obs::MetricsRegistry& registry,
                       const std::string& prefix) override;
   // Emits per-pull "pull" (and per-redundancy-decision "dup"/"parity")
@@ -135,10 +136,6 @@ class DmpStreamingServer : public StreamServer {
   std::uint64_t parity_sent_ = 0;
   std::vector<SchedPathState> path_state_;  // reused pick() scratch
 
-  obs::Counter* m_generated_ = nullptr;
-  std::vector<obs::Counter*> m_pulls_;
-  obs::Counter* m_duplicates_ = nullptr;
-  obs::Counter* m_parity_ = nullptr;
   obs::EventLog* event_log_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   obs::TimeSeriesChannel* ts_backlog_ = nullptr;

@@ -21,9 +21,6 @@ namespace dmp {
 
 namespace {
 
-// Registers the scheduler's work counters as sampler gauges so probes can
-// plot event-rate over time (the scheduler itself stays obs-free to keep
-// the sim -> obs dependency one-directional).
 // Seed-stream kind for AQM early-drop trials (registered in
 // src/exp/plan.hpp): per-path Rng roots disjoint from every other random
 // quantity the session derives from its seed.
@@ -37,6 +34,9 @@ QdiscSpec qdisc_for_path(const QdiscSpec& spec, std::uint64_t session_seed,
   return out;
 }
 
+// Registers the scheduler's work counters as sampler gauges so probes can
+// plot event-rate over time (the scheduler itself stays obs-free to keep
+// the sim -> obs dependency one-directional).
 void attach_scheduler_gauges(obs::MetricsRegistry& registry,
                              const Scheduler& sched) {
   registry.gauge("sched.events_pending").set_sampler([&sched] {
@@ -402,7 +402,7 @@ SessionResult run_session(const SessionConfig& config) {
   }
   if (registry) {
     // The instrumented objects die with this scope; keep their last values.
-    registry->freeze_gauges();
+    registry->freeze_samplers();
 
     result.events_path = config.obs.events_path();
     if (!events->write_jsonl(result.events_path)) {

@@ -1,5 +1,6 @@
 #include "stream/stored_server.hpp"
 
+#include <numeric>
 #include <stdexcept>
 
 namespace dmp {
@@ -24,11 +25,12 @@ StoredStreamingServer::StoredStreamingServer(Scheduler& sched,
 
 void StoredStreamingServer::attach_metrics(obs::MetricsRegistry& registry,
                                            const std::string& prefix) {
-  m_dispatched_ = &registry.counter(prefix + ".dispatched");
-  m_pulls_.clear();
+  registry.counter(prefix + ".dispatched").set_sampler([this] {
+    return std::accumulate(pulls_.begin(), pulls_.end(), std::uint64_t{0});
+  });
   for (std::size_t k = 0; k < senders_.size(); ++k) {
-    m_pulls_.push_back(
-        &registry.counter(prefix + ".pulls.path" + std::to_string(k)));
+    registry.counter(prefix + ".pulls.path" + std::to_string(k))
+        .set_sampler([this, k] { return pulls_[k]; });
   }
   registry.gauge(prefix + ".remaining").set_sampler([this] {
     return static_cast<double>(total_ - next_number_) +
@@ -53,10 +55,6 @@ void StoredStreamingServer::pull_into(std::size_t k) {
       number = next_number_++;
     }
     ++pulls_[k];
-    if (!m_pulls_.empty()) {
-      m_pulls_[k]->inc();
-      m_dispatched_->inc();
-    }
     if (flight_) {
       obs::FlightEvent e;
       e.t_ns = sched_.now().ns();

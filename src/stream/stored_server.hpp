@@ -42,9 +42,10 @@ class StoredStreamingServer : public StreamServer {
   std::int64_t packets_generated() const override { return total_; }
   std::uint64_t pulls(std::size_t k) const override { return pulls_[k]; }
 
-  // Registers the `<prefix>.dispatched` counter, per-path `<prefix>.pulls.
-  // path<k>` counters and a `<prefix>.remaining` sampler gauge.  Optional;
-  // a no-op when never called.
+  // Registers the `<prefix>.dispatched` counter (all pulls, redispatches
+  // included), per-path `<prefix>.pulls.path<k>` counters — views over
+  // pulls(k) — and a `<prefix>.remaining` sampler gauge.  Optional; a no-op
+  // when never called.
   void attach_metrics(obs::MetricsRegistry& registry,
                       const std::string& prefix) override;
 
@@ -88,8 +89,6 @@ class StoredStreamingServer : public StreamServer {
   std::deque<std::int64_t> redispatch_;    // reclaimed numbers, oldest first
   std::uint64_t reclaimed_ = 0;
 
-  std::vector<obs::Counter*> m_pulls_;
-  obs::Counter* m_dispatched_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   obs::TimeSeriesChannel* ts_backlog_ = nullptr;
   obs::TimeSeriesChannel* ts_generated_ = nullptr;

@@ -57,7 +57,6 @@ void RenoSender::emit(std::int64_t seq) {
   s.last_sent = sched_.now();
   if (s.times_sent == 1) {
     ++stats_.data_packets_sent;
-    if (m_data_sent_) m_data_sent_->inc();
     snd_max_ = std::max(snd_max_, seq + 1);
     if (!timing_) {
       timing_ = true;
@@ -66,7 +65,6 @@ void RenoSender::emit(std::int64_t seq) {
     }
   } else {
     ++stats_.retransmissions;
-    if (m_retransmissions_) m_retransmissions_->inc();
     // Karn: never sample a segment that has been retransmitted.
     if (timing_ && seq == rtt_seq_) timing_ = false;
   }
@@ -193,8 +191,7 @@ void RenoSender::open_cwnd(std::int64_t newly_acked) {
 
 void RenoSender::on_ack(const Packet& ack) {
   ++stats_.acks_received;
-  if (m_acks_) {
-    m_acks_->inc();
+  if (m_ack_interarrival_) {
     if (seen_ack_) {
       m_ack_interarrival_->observe((sched_.now() - last_ack_at_).to_seconds());
     }
@@ -248,7 +245,6 @@ void RenoSender::on_ack(const Packet& ack) {
 
 void RenoSender::enter_fast_recovery() {
   ++stats_.fast_retransmits;
-  if (m_fast_retransmits_) m_fast_retransmits_->inc();
   if (event_log_ && event_log_->enabled(obs::Severity::kInfo)) {
     event_log_->record(sched_.now().to_seconds(), obs::Severity::kInfo,
                        "fast_retransmit",
@@ -272,7 +268,6 @@ void RenoSender::on_rto() {
     ++stats_.rto_at_timeout_count;
   }
   ++stats_.timeouts;
-  if (m_timeouts_) m_timeouts_->inc();
   if (event_log_ && event_log_->enabled(obs::Severity::kWarn)) {
     event_log_->record(sched_.now().to_seconds(), obs::Severity::kWarn, "rto",
                        {obs::EventField::num("flow", flow_),
@@ -309,11 +304,16 @@ void RenoSender::on_rto() {
 
 void RenoSender::attach_metrics(obs::MetricsRegistry& registry,
                                 const std::string& prefix) {
-  m_data_sent_ = &registry.counter(prefix + ".data_packets_sent");
-  m_retransmissions_ = &registry.counter(prefix + ".retransmissions");
-  m_timeouts_ = &registry.counter(prefix + ".timeouts");
-  m_fast_retransmits_ = &registry.counter(prefix + ".fast_retransmits");
-  m_acks_ = &registry.counter(prefix + ".acks_received");
+  registry.counter(prefix + ".data_packets_sent")
+      .set_sampler([this] { return stats_.data_packets_sent; });
+  registry.counter(prefix + ".retransmissions")
+      .set_sampler([this] { return stats_.retransmissions; });
+  registry.counter(prefix + ".timeouts")
+      .set_sampler([this] { return stats_.timeouts; });
+  registry.counter(prefix + ".fast_retransmits")
+      .set_sampler([this] { return stats_.fast_retransmits; });
+  registry.counter(prefix + ".acks_received")
+      .set_sampler([this] { return stats_.acks_received; });
   m_ack_interarrival_ = &registry.histogram(prefix + ".ack_interarrival_s");
   registry.gauge(prefix + ".cwnd").set_sampler([this] { return cwnd_; });
   registry.gauge(prefix + ".ssthresh").set_sampler([this] {

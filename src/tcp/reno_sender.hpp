@@ -110,8 +110,8 @@ class RenoSender {
   // --- observability (all optional; no-ops when never called) ---
   // Registers `<prefix>.{cwnd,ssthresh,srtt_s,rto_s,buffered}` sampler
   // gauges, `<prefix>.{data_packets_sent,retransmissions,timeouts,
-  // fast_retransmits,acks_received}` counters mirroring `stats()`, and the
-  // `<prefix>.ack_interarrival_s` histogram.
+  // fast_retransmits,acks_received}` counters that read `stats()` when the
+  // report is written, and the `<prefix>.ack_interarrival_s` histogram.
   void attach_metrics(obs::MetricsRegistry& registry,
                       const std::string& prefix);
   // Emits "rto" (kWarn), "fast_retransmit" (kInfo) and "ss_to_ca" phase-
@@ -205,11 +205,6 @@ class RenoSender {
 
   TcpSenderStats stats_;
 
-  obs::Counter* m_data_sent_ = nullptr;
-  obs::Counter* m_retransmissions_ = nullptr;
-  obs::Counter* m_timeouts_ = nullptr;
-  obs::Counter* m_fast_retransmits_ = nullptr;
-  obs::Counter* m_acks_ = nullptr;
   obs::Histogram* m_ack_interarrival_ = nullptr;
   SimTime last_ack_at_ = SimTime::zero();
   bool seen_ack_ = false;

@@ -8,9 +8,12 @@ TcpSink::TcpSink(Scheduler& sched, FlowId flow, TcpConfig config,
 
 void TcpSink::attach_metrics(obs::MetricsRegistry& registry,
                              const std::string& prefix) {
-  m_received_ = &registry.counter(prefix + ".segments_received");
-  m_duplicates_ = &registry.counter(prefix + ".duplicate_segments");
-  m_out_of_order_ = &registry.counter(prefix + ".out_of_order_segments");
+  registry.counter(prefix + ".segments_received")
+      .set_sampler([this] { return segments_received_; });
+  registry.counter(prefix + ".duplicate_segments")
+      .set_sampler([this] { return duplicate_segments_; });
+  registry.counter(prefix + ".out_of_order_segments")
+      .set_sampler([this] { return out_of_order_segments_; });
   registry.gauge(prefix + ".reorder_buffer").set_sampler([this] {
     return static_cast<double>(reorder_buffer_.size());
   });
@@ -30,7 +33,6 @@ void TcpSink::record_flight(obs::FlightEventKind kind, std::int64_t app_tag,
 
 void TcpSink::on_data(const Packet& p) {
   ++segments_received_;
-  if (m_received_) m_received_->inc();
   if (ts_reorder_) {
     ts_reorder_->add(sched_.now(),
                      static_cast<double>(reorder_buffer_.size()));
@@ -70,7 +72,6 @@ void TcpSink::on_data(const Packet& p) {
 
   if (p.seq > rcv_nxt_) {
     ++out_of_order_segments_;
-    if (m_out_of_order_) m_out_of_order_->inc();
     reorder_buffer_.emplace(p.seq, p.app_tag);
     send_ack();  // duplicate ACK, immediately
     return;
@@ -78,7 +79,6 @@ void TcpSink::on_data(const Packet& p) {
 
   // Segment below rcv_nxt_: spurious retransmission.
   ++duplicate_segments_;
-  if (m_duplicates_) m_duplicates_->inc();
   send_ack();
 }
 

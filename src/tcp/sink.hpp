@@ -36,8 +36,9 @@ class TcpSink {
   std::uint64_t out_of_order_segments() const { return out_of_order_segments_; }
 
   // Registers `<prefix>.{segments_received,duplicate_segments,
-  // out_of_order_segments}` counters and a `<prefix>.reorder_buffer`
-  // sampler gauge.  Optional; a no-op when never called.
+  // out_of_order_segments}` counters (views over the accessors above, read
+  // when the report is written) and a `<prefix>.reorder_buffer` sampler
+  // gauge.  Optional; a no-op when never called.
   void attach_metrics(obs::MetricsRegistry& registry,
                       const std::string& prefix);
 
@@ -76,9 +77,6 @@ class TcpSink {
   std::uint64_t duplicate_segments_ = 0;
   std::uint64_t out_of_order_segments_ = 0;
 
-  obs::Counter* m_received_ = nullptr;
-  obs::Counter* m_duplicates_ = nullptr;
-  obs::Counter* m_out_of_order_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   obs::TimeSeriesChannel* ts_reorder_ = nullptr;
 };

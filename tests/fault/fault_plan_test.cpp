@@ -2,7 +2,10 @@
 // injector's arm-time validation + schedule-driven replay.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_injector.hpp"
@@ -84,6 +87,146 @@ TEST(FaultPlan, ErrorNamesTheOffendingEvent) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("3 explode path1"),
               std::string::npos);
+  }
+}
+
+// One FaultPlan mutant: the spec and the event text the parser blames if
+// it rejects the spec (the mutated event, as split on ';').  Reordered
+// mutants must parse to the original plan.
+struct PlanMutant {
+  std::string spec;
+  std::string event;
+  bool reordered = false;
+};
+
+// Deterministic mutants of a valid three-event spec: truncations at every
+// byte, case flips of every letter, surrounding whitespace and separators,
+// appended bytes, adjacent fields swapped within each event, and reordered
+// events.  Each mutates one event, so the event the parser blames is known.
+std::vector<PlanMutant> plan_mutants(const std::vector<std::string>& events) {
+  const auto join = [](const std::vector<std::string>& parts) {
+    std::string out;
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      if (i != 0) out += ';';
+      out += parts[i];
+    }
+    return out;
+  };
+  const std::string spec = join(events);
+  std::vector<PlanMutant> out;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    std::vector<std::string> parts(events.begin(), events.begin() + i);
+    for (std::size_t n = 0; n < events[i].size(); ++n) {
+      parts.push_back(events[i].substr(0, n));
+      out.push_back({join(parts), parts.back()});
+      parts.pop_back();
+    }
+  }
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    for (std::size_t c = 0; c < events[i].size(); ++c) {
+      if (events[i][c] < 'a' || events[i][c] > 'z') continue;
+      std::vector<std::string> parts = events;
+      parts[i][c] = static_cast<char>(parts[i][c] - 'a' + 'A');
+      out.push_back({join(parts), parts[i]});
+    }
+  }
+  for (const std::string ws : {" ", "\t", "\n", "\r", ";", " ; "}) {
+    out.push_back({ws + spec, ws + events.front()});
+    out.push_back({spec + ws, events.back() + ws});
+    out.push_back({ws + spec + ws, events.back() + ws});
+  }
+  for (const char c : {'x', '0', ':', ',', '=', '|', '\x7f', '\xff'}) {
+    out.push_back({spec + c, events.back() + c});
+  }
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    std::vector<std::string> tokens;
+    std::istringstream in(events[i]);
+    for (std::string t; in >> t;) tokens.push_back(t);
+    for (std::size_t j = 0; j + 1 < tokens.size(); ++j) {
+      std::vector<std::string> swapped = tokens;
+      std::swap(swapped[j], swapped[j + 1]);
+      std::vector<std::string> parts = events;
+      parts[i] = i == 0 ? "" : " ";
+      for (std::size_t t = 0; t < swapped.size(); ++t) {
+        parts[i] += (t == 0 ? "" : " ") + swapped[t];
+      }
+      out.push_back({join(parts), parts[i]});
+    }
+  }
+  for (std::size_t i = 0; i + 1 < events.size(); ++i) {
+    std::vector<std::string> parts = events;
+    std::swap(parts[i], parts[i + 1]);
+    out.push_back({join(parts), "", true});
+  }
+  return out;
+}
+
+TEST(FaultPlan, MutatedSpecsRoundTripOrThrowThePinnedMessage) {
+  const std::vector<std::string> events{"1.5 burst_loss path0 7",
+                                        " 2 rescale path1 bw=0.5 delay=2",
+                                        " 3 link_down path1"};
+  const std::string ok;  // parses and round-trips
+  const std::string shape = "expected '<time> <kind> <target> ...'";
+  const std::string count = "burst_loss takes one count";
+  const std::string args = "rescale needs bw=<factor> and/or delay=<factor>";
+  const std::vector<std::string> whys{
+      ok, shape, shape, shape, shape, shape, shape, shape, shape, shape, shape,
+      shape, shape, shape, shape, shape, count, count, count, count, count,
+      count, ok, ok, shape, shape, shape, shape, shape, shape, shape, shape,
+      shape, shape, args, args, args, args, args, args,
+      "unknown rescale argument 'b'", "unknown rescale argument 'bw'",
+      "factor '' is not a number", "factors must be > 0", "factors must be > 0",
+      ok, ok, "unknown rescale argument 'd'", "unknown rescale argument 'de'",
+      "unknown rescale argument 'del'", "unknown rescale argument 'dela'",
+      "unknown rescale argument 'delay'", "factor '' is not a number", ok, ok,
+      shape, shape, shape, shape, shape, shape, shape, shape, shape, shape,
+      shape, shape, ok, ok, ok, ok, "unknown kind 'Burst_loss'",
+      "unknown kind 'bUrst_loss'", "unknown kind 'buRst_loss'",
+      "unknown kind 'burSt_loss'", "unknown kind 'bursT_loss'",
+      "unknown kind 'burst_Loss'", "unknown kind 'burst_lOss'",
+      "unknown kind 'burst_loSs'", "unknown kind 'burst_losS'", ok, ok, ok, ok,
+      "unknown kind 'Rescale'", "unknown kind 'rEscale'",
+      "unknown kind 'reScale'", "unknown kind 'resCale'",
+      "unknown kind 'rescAle'", "unknown kind 'rescaLe'",
+      "unknown kind 'rescalE'", ok, ok, ok, ok,
+      "unknown rescale argument 'Bw=0.5'", "unknown rescale argument 'bW=0.5'",
+      "unknown rescale argument 'Delay=2'",
+      "unknown rescale argument 'dElay=2'",
+      "unknown rescale argument 'deLay=2'",
+      "unknown rescale argument 'delAy=2'",
+      "unknown rescale argument 'delaY=2'", "unknown kind 'Link_down'",
+      "unknown kind 'lInk_down'", "unknown kind 'liNk_down'",
+      "unknown kind 'linK_down'", "unknown kind 'link_Down'",
+      "unknown kind 'link_dOwn'", "unknown kind 'link_doWn'",
+      "unknown kind 'link_dowN'", ok, ok, ok, ok, ok, ok, ok, ok, ok, ok, ok,
+      ok, ok, ok, ok, ok, ok, ok, ok, ok, ok, ok, ok, ok, ok, ok, ok, ok, ok,
+      ok, "time 'burst_loss' is not a number", "unknown kind 'path0'",
+      "count 'path0' is not a non-negative integer",
+      "time 'rescale' is not a number", "unknown kind 'path1'",
+      "unknown rescale argument 'path1'", ok,
+      "time 'link_down' is not a number", "unknown kind 'path1'", ok, ok,
+  };
+  const std::string canonical =
+      FaultPlan::parse(events[0] + ";" + events[1] + ";" + events[2])
+          .to_string();
+  const std::vector<PlanMutant> mutants = plan_mutants(events);
+  ASSERT_EQ(mutants.size(), whys.size());  // the sweep cannot silently shrink
+  for (std::size_t i = 0; i < mutants.size(); ++i) {
+    const PlanMutant& m = mutants[i];
+    try {
+      const FaultPlan plan = FaultPlan::parse(m.spec);
+      EXPECT_EQ(whys[i], "") << "accepted '" << m.spec << "'";
+      const FaultPlan reparsed = FaultPlan::parse(plan.to_string());
+      EXPECT_EQ(reparsed.size(), plan.size()) << m.spec;
+      EXPECT_EQ(reparsed.to_string(), plan.to_string()) << m.spec;
+      if (m.reordered) {
+        EXPECT_EQ(plan.to_string(), canonical) << m.spec;
+      }
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "fault plan: bad event '" + m.event + "': " + whys[i])
+          << "mutant " << i << " '" << m.spec << "'";
+    }
   }
 }
 

@@ -125,11 +125,25 @@ TEST(MetricsRegistry, FreezeGaugesDetachesAllSamplers) {
   double v = 5.0;
   reg.gauge("a").set_sampler([&v] { return v; });
   reg.gauge("b").set(2.0);
-  reg.freeze_gauges();
+  reg.freeze_samplers();
   v = 99.0;
   EXPECT_DOUBLE_EQ(reg.find_gauge("a")->value(), 5.0);
   EXPECT_FALSE(reg.find_gauge("a")->has_sampler());
   EXPECT_DOUBLE_EQ(reg.find_gauge("b")->value(), 2.0);
+}
+
+TEST(MetricsRegistry, CounterViewsReadTheirSourceUntilFrozen) {
+  MetricsRegistry reg;
+  std::uint64_t source = 3;
+  reg.counter("view").set_sampler([&source] { return source; });
+  reg.counter("plain").inc(2);
+  EXPECT_EQ(reg.find_counter("view")->value(), 3u);
+  source = 11;  // read when the value is asked for, not copied at attach
+  EXPECT_EQ(reg.find_counter("view")->value(), 11u);
+  reg.freeze_samplers();
+  source = 99;
+  EXPECT_EQ(reg.find_counter("view")->value(), 11u);
+  EXPECT_EQ(reg.find_counter("plain")->value(), 2u);
 }
 
 TEST(EventLog, SeverityFilterDropsBelowThreshold) {

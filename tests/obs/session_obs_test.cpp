@@ -133,6 +133,88 @@ TEST(SessionObs, ReportTagsSchemeAndPolicy) {
   EXPECT_EQ(report.find("\"scheduler\""), std::string::npos);
 }
 
+// The `counters` object of a run report, from its opening brace through the
+// matching close (counter values are integers, so there is no nesting).
+std::string counters_block(const std::string& report_path) {
+  const std::string report = slurp(report_path);
+  const std::string key = "\"counters\":";
+  const auto begin = report.find(key);
+  if (begin == std::string::npos) return {};
+  const auto end = report.find('}', begin);
+  if (end == std::string::npos) return {};
+  return report.substr(begin + key.size(), end + 1 - begin - key.size());
+}
+
+TEST(SessionObs, ReportCountersArePinned) {
+  // Every registry counter of two fixed-seed sessions, byte for byte.  The
+  // pull session runs PIE with an outage on path 1, so link drops, early
+  // drops, TCP timeouts, fast retransmits and server pulls all read
+  // non-zero; the stored session covers the stored server's counters.
+  auto pull = obs_session("pin_pull");
+  pull.path_configs = {table1_config(2), table1_config(2)};
+  pull.duration_s = 30.0;
+  pull.warmup_s = 5.0;
+  pull.drain_s = 10.0;
+  pull.seed = 909;
+  pull.qdisc = "pie";
+  pull.faults = "8 link_down path1; 14 link_up path1";
+  pull.obs.probe_interval_s = 0.0;
+  EXPECT_EQ(counters_block(run_session(pull).report_path),
+      "{"
+      "\"client.path0.packets\":698,\"client.path1.packets\":772,"
+      "\"link.path0.arrivals\":15856,\"link.path0.delivered\":13593,"
+      "\"link.path0.drops\":2244,\"link.path0.early_drops\":2231,"
+      "\"link.path1.arrivals\":13689,\"link.path1.delivered\":11781,"
+      "\"link.path1.drops\":1673,\"link.path1.early_drops\":1660,"
+      "\"server.generated\":1500,"
+      "\"server.pulls.path0\":714,\"server.pulls.path1\":822,"
+      "\"server.sched.duplicates\":0,\"server.sched.parity\":0,"
+      "\"sink.path0.duplicate_segments\":10,"
+      "\"sink.path0.out_of_order_segments\":164,"
+      "\"sink.path0.segments_received\":709,"
+      "\"sink.path1.duplicate_segments\":9,"
+      "\"sink.path1.out_of_order_segments\":174,"
+      "\"sink.path1.segments_received\":782,"
+      "\"tcp.path0.acks_received\":708,"
+      "\"tcp.path0.data_packets_sent\":700,"
+      "\"tcp.path0.fast_retransmits\":25,"
+      "\"tcp.path0.retransmissions\":131,\"tcp.path0.timeouts\":67,"
+      "\"tcp.path1.acks_received\":782,"
+      "\"tcp.path1.data_packets_sent\":774,"
+      "\"tcp.path1.fast_retransmits\":28,"
+      "\"tcp.path1.retransmissions\":107,\"tcp.path1.timeouts\":57"
+      "}");
+
+  auto stored = obs_session("pin_stored");
+  stored.duration_s = 20.0;
+  stored.scheme = StreamScheme::kStored;
+  stored.obs.probe_interval_s = 0.0;
+  EXPECT_EQ(counters_block(run_session(stored).report_path),
+      "{"
+      "\"client.path0.packets\":347,\"client.path1.packets\":653,"
+      "\"link.path0.arrivals\":25798,\"link.path0.delivered\":24733,"
+      "\"link.path0.drops\":1060,"
+      "\"link.path1.arrivals\":25815,\"link.path1.delivered\":24713,"
+      "\"link.path1.drops\":1085,"
+      "\"server.dispatched\":1000,"
+      "\"server.pulls.path0\":347,\"server.pulls.path1\":653,"
+      "\"sink.path0.duplicate_segments\":2,"
+      "\"sink.path0.out_of_order_segments\":55,"
+      "\"sink.path0.segments_received\":350,"
+      "\"sink.path1.duplicate_segments\":2,"
+      "\"sink.path1.out_of_order_segments\":73,"
+      "\"sink.path1.segments_received\":655,"
+      "\"tcp.path0.acks_received\":350,"
+      "\"tcp.path0.data_packets_sent\":347,"
+      "\"tcp.path0.fast_retransmits\":7,"
+      "\"tcp.path0.retransmissions\":22,\"tcp.path0.timeouts\":3,"
+      "\"tcp.path1.acks_received\":655,"
+      "\"tcp.path1.data_packets_sent\":653,"
+      "\"tcp.path1.fast_retransmits\":6,"
+      "\"tcp.path1.retransmissions\":13,\"tcp.path1.timeouts\":2"
+      "}");
+}
+
 TEST(SessionObs, ObsRunMatchesPlainRunPacketForPacket) {
   // Instrumentation must not perturb the simulation: identical seeds give
   // identical traces with and without obs attached.
