@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/json_string.hpp"
+
 namespace dmp::exp {
 
 namespace {
@@ -211,27 +213,6 @@ class Parser {
   int depth_ = 0;
 };
 
-void append_quoted(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 // One CSV cell becomes a number exactly when the whole cell parses as one.
 JsonValue cell_value(const std::string& cell) {
   JsonValue v;
@@ -300,7 +281,7 @@ std::string JsonValue::to_json() const {
     case Kind::kBool: return boolean ? "true" : "false";
     case Kind::kNumber: return text;
     case Kind::kString:
-      append_quoted(out, text);
+      append_json_string(out, text);
       return out;
     case Kind::kArray:
       out = "[";
@@ -313,7 +294,7 @@ std::string JsonValue::to_json() const {
       out = "{";
       for (std::size_t i = 0; i < object.size(); ++i) {
         if (i) out += ", ";
-        append_quoted(out, object[i].first);
+        append_json_string(out, object[i].first);
         out += ": ";
         out += object[i].second.to_json();
       }

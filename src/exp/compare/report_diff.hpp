@@ -7,8 +7,8 @@
 // one side only, type mismatch).  Byte-identical inputs therefore produce
 // zero non-identical entries, which turns the benches' thread-invariance
 // gate ("DMP_THREADS=1 and =8 must emit the same bytes") into a single
-// `run_diff a b` invocation, and tolerant mode answers the softer question
-// "did this refactor move any number by more than epsilon".
+// `trace_query diff a b` invocation, and tolerant mode answers the softer
+// question "did this refactor move any number by more than epsilon".
 //
 // Paths use the same dotted syntax as the SLO engine; array elements with
 // a "name" member are addressed by it (settings.2-2.metrics.f_tau4), so a

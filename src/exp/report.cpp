@@ -7,6 +7,7 @@
 
 #include "exp/compare/slo.hpp"
 #include "util/csv.hpp"
+#include "util/json_string.hpp"
 
 namespace dmp::exp {
 
@@ -21,27 +22,6 @@ std::string num(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
-}
-
-void json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
 }
 
 }  // namespace
@@ -85,7 +65,7 @@ const obs::QuantileSketch* SettingSummary::find_sketch(
 std::string ExperimentReport::aggregate_json() const {
   std::string out;
   out += "{\"experiment\": ";
-  json_string(out, experiment);
+  append_json_string(out, experiment);
   out += ", \"root_seed\": " + std::to_string(root_seed);
   out += ", \"replications\": " + std::to_string(replications);
   out += ", \"settings\": [";
@@ -93,7 +73,7 @@ std::string ExperimentReport::aggregate_json() const {
     const auto& setting = settings[s];
     if (s) out += ", ";
     out += "{\"name\": ";
-    json_string(out, setting.name);
+    append_json_string(out, setting.name);
     out += ", \"seeds\": [";
     for (std::size_t r = 0; r < setting.seeds.size(); ++r) {
       if (r) out += ", ";
@@ -106,7 +86,7 @@ std::string ExperimentReport::aggregate_json() const {
       if (!first) out += ", ";
       first = false;
       out += "{\"replication\": " + std::to_string(r) + ", \"error\": ";
-      json_string(out, setting.failures[r]);
+      append_json_string(out, setting.failures[r]);
       out += "}";
     }
     out += "], \"metrics\": [";
@@ -115,7 +95,7 @@ std::string ExperimentReport::aggregate_json() const {
       const auto ci = series.ci();
       if (m) out += ", ";
       out += "{\"name\": ";
-      json_string(out, series.name);
+      append_json_string(out, series.name);
       out += ", \"mean\": " + num(ci.mean);
       out += ", \"ci_half\": " + num(ci.half_width);
       out += ", \"samples\": [";
@@ -130,7 +110,7 @@ std::string ExperimentReport::aggregate_json() const {
       const auto& merged = setting.sketches[p];
       if (p) out += ", ";
       out += "{\"name\": ";
-      json_string(out, merged.name);
+      append_json_string(out, merged.name);
       const auto& sk = merged.sketch;
       out += ", \"count\": " + std::to_string(sk.count());
       if (sk.count() == 0) {

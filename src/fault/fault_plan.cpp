@@ -101,6 +101,12 @@ FaultEvent parse_event(const std::string& event_text) {
   } else {
     bad(event_text, "unknown kind '" + kind + "'");
   }
+  // Every consumer names its paths path0..path<K-1>; whether the index
+  // exists is known only once the session's paths are.
+  std::size_t index = 0;
+  if (!parse_path_index(e.target, &index)) {
+    bad(event_text, "target '" + e.target + "' is not path<k>");
+  }
   return e;
 }
 

@@ -20,10 +20,11 @@
 //   rescale takes bw=<factor> and/or delay=<factor> (relative to the
 //   path's configured values); link_down/link_up/conn_reset take none.
 //
-// Parsing is strict — an unknown kind, a malformed number, a missing
-// argument all throw std::invalid_argument naming the offending event —
-// because a silently-ignored fault would turn a robustness experiment
-// into a no-fault control without anyone noticing.
+// Parsing is strict — an unknown kind, a target that is not path<k>, a
+// malformed number, a missing argument all throw std::invalid_argument
+// naming the offending event — because a silently-ignored fault would
+// turn a robustness experiment into a no-fault control without anyone
+// noticing.
 #pragma once
 
 #include <cstdint>

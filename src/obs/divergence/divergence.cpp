@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "util/json_string.hpp"
+
 namespace dmp::obs {
 
 namespace {
@@ -15,27 +17,6 @@ std::string num(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
-}
-
-void json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
 }
 
 }  // namespace
@@ -76,11 +57,11 @@ DivergenceStats DivergenceSeries::stats() const {
 
 std::string DivergenceSeries::to_json() const {
   std::string out = "{\"name\": ";
-  json_string(out, name);
+  append_json_string(out, name);
   out += ", \"metric\": ";
-  json_string(out, metric);
+  append_json_string(out, metric);
   out += ", \"x_label\": ";
-  json_string(out, x_label);
+  append_json_string(out, x_label);
   out += ", \"tolerance\": {\"abs\": " + num(tolerance.abs) +
          ", \"ratio\": " + num(tolerance.ratio) +
          ", \"within_ci\": " + (tolerance.within_ci ? "true" : "false") +
@@ -90,7 +71,7 @@ std::string DivergenceSeries::to_json() const {
     const auto& p = points[i];
     if (i) out += ", ";
     out += "{\"setting\": ";
-    json_string(out, p.setting);
+    append_json_string(out, p.setting);
     out += ", \"x\": " + num(p.x);
     out += ", \"predicted\": " + num(p.predicted);
     out += ", \"measured\": " + num(p.measured);
@@ -107,7 +88,7 @@ std::string DivergenceSeries::to_json() const {
          ", \"rms_residual\": " + num(st.rms_residual) +
          ", \"max_abs_residual\": " + num(st.max_abs_residual) +
          ", \"worst_setting\": ";
-  json_string(out, st.worst_setting);
+  append_json_string(out, st.worst_setting);
   out += ", \"worst_x\": " + num(st.worst_x) + "}}";
   return out;
 }

@@ -87,7 +87,7 @@ struct DivergenceSeries {
 
 // {"divergence": [<series>...]} — the standalone artifact shape shared by
 // figure benches without an ExperimentReport (fig9) and by the
-// `divergence_report` CLI's --json output.
+// `trace_query divergence --json` output.
 std::string divergence_document_json(
     const std::vector<DivergenceSeries>& series);
 

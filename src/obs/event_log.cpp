@@ -6,6 +6,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "util/json_string.hpp"
+
 namespace dmp::obs {
 
 namespace {
@@ -16,26 +18,6 @@ std::string format_double(double v) {
       std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 12);
   if (ec != std::errc{}) return "null";
   return std::string(buf, ptr);
-}
-
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -92,19 +74,16 @@ void EventLog::to_jsonl(std::ostream& out) const {
     line += format_double(e.time_s);
     line += ",\"sev\":\"";
     line += severity_name(e.severity);
-    line += "\",\"type\":\"";
-    append_json_escaped(line, e.type);
-    line += '"';
+    line += "\",\"type\":";
+    append_json_string(line, e.type);
     for (const EventField& f : e.fields) {
-      line += ",\"";
-      append_json_escaped(line, f.key);
-      line += "\":";
+      line += ',';
+      append_json_string(line, f.key);
+      line += ':';
       if (f.is_number) {
         line += f.value;
       } else {
-        line += '"';
-        append_json_escaped(line, f.value);
-        line += '"';
+        append_json_string(line, f.value);
       }
     }
     line += "}\n";

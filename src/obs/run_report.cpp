@@ -6,6 +6,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "util/json_string.hpp"
+
 namespace dmp::obs {
 
 namespace {
@@ -21,20 +23,6 @@ std::string json_number(double v) {
   return std::string(buf, ptr);
 }
 
-std::string json_string(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
-
 // Appends `"key":value` pairs of a name-sorted map as one JSON object.
 template <typename Map, typename Render>
 void append_object(std::string& out, const Map& map, Render render) {
@@ -43,7 +31,7 @@ void append_object(std::string& out, const Map& map, Render render) {
   for (const auto& [name, value] : map) {
     if (!first) out += ',';
     first = false;
-    out += json_string(name);
+    append_json_string(out, name);
     out += ':';
     render(out, value);
   }
@@ -61,7 +49,9 @@ void RunReport::set_scalar(const std::string& key, std::int64_t v) {
 }
 
 void RunReport::set_text(const std::string& key, const std::string& v) {
-  meta_[key] = json_string(v);
+  std::string quoted;
+  append_json_string(quoted, v);
+  meta_[key] = std::move(quoted);
 }
 
 void RunReport::set_series(const std::string& key,

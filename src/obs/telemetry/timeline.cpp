@@ -10,6 +10,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/json_string.hpp"
+
 namespace dmp::obs {
 
 namespace {
@@ -72,10 +74,13 @@ class EventList {
         ",\"name\":\"" + name + "\"}");
   }
 
+  // Channel names come from the telemetry CSV, so they are escaped.
   void counter(const std::string& name, double t_s, double value) {
-    raw("{\"ph\":\"C\",\"pid\":" + std::to_string(kPid) +
-        ",\"ts\":" + num(t_s * 1e6) + ",\"name\":\"" + name +
-        "\",\"args\":{\"value\":" + num(value) + "}}");
+    std::string event = "{\"ph\":\"C\",\"pid\":" + std::to_string(kPid) +
+                        ",\"ts\":" + num(t_s * 1e6) + ",\"name\":";
+    append_json_string(event, name);
+    event += ",\"args\":{\"value\":" + num(value) + "}}";
+    raw(std::move(event));
   }
 
   std::string finish() const {

@@ -11,6 +11,7 @@
 #include "exp/compare/json.hpp"
 #include "exp/compare/report_diff.hpp"
 #include "exp/compare/slo.hpp"
+#include "util/json_string.hpp"
 
 namespace {
 
@@ -60,6 +61,22 @@ TEST(JsonParse, ScalarsAndEscapes) {
   EXPECT_FALSE(doc.find("f")->boolean);
   EXPECT_TRUE(doc.find("z")->is_null());
   EXPECT_DOUBLE_EQ(doc.find("n")->number, -1500.0);
+}
+
+TEST(JsonParse, EscapedControlBytesRoundTrip) {
+  std::string raw;
+  for (char c = 0x01; c < 0x20; ++c) raw += c;
+  raw += "\"\\ plain";
+  std::string quoted;
+  dmp::append_json_string(quoted, raw);
+  EXPECT_EQ(dmp::exp::parse_json(quoted).text, raw);
+  std::string doc = "{";
+  dmp::append_json_string(doc, raw);
+  doc += ": 1}";
+  EXPECT_EQ(dmp::exp::parse_json(doc).object.at(0).first, raw);
+  // One rendering for every writer: \t and \n short, the rest \u00XX.
+  EXPECT_EQ(quoted.substr(43, 34),
+            "\\u0008\\t\\n\\u000b\\u000c\\u000d\\u000e");
 }
 
 TEST(JsonParse, ThrowsOnMalformedAndTrailingGarbage) {

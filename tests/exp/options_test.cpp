@@ -78,6 +78,18 @@ TEST_F(OptionsTest, RejectsMalformedFaultPlan) {
   }
 }
 
+TEST_F(OptionsTest, RejectsMisspelledFaultTarget) {
+  setenv("DMP_FAULTS", "10 link_down Path1", 1);
+  try {
+    BenchOptions::from_env();
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "bench options: DMP_FAULTS: fault plan: bad event "
+              "'10 link_down Path1': target 'Path1' is not path<k>");
+  }
+}
+
 TEST_F(OptionsTest, ParsesAndValidatesSchedulerSpec) {
   EXPECT_EQ(BenchOptions::from_env().sched, "pull");
   setenv("DMP_SCHED", "parity-4", 1);

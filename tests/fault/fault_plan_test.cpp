@@ -169,6 +169,10 @@ TEST(FaultPlan, MutatedSpecsRoundTripOrThrowThePinnedMessage) {
   const std::string shape = "expected '<time> <kind> <target> ...'";
   const std::string count = "burst_loss takes one count";
   const std::string args = "rescale needs bw=<factor> and/or delay=<factor>";
+  // A target that is not path<k> is rejected at parse time.
+  auto target = [](const std::string& t) {
+    return "target '" + t + "' is not path<k>";
+  };
   const std::vector<std::string> whys{
       ok, shape, shape, shape, shape, shape, shape, shape, shape, shape, shape,
       shape, shape, shape, shape, shape, count, count, count, count, count,
@@ -180,15 +184,17 @@ TEST(FaultPlan, MutatedSpecsRoundTripOrThrowThePinnedMessage) {
       "unknown rescale argument 'del'", "unknown rescale argument 'dela'",
       "unknown rescale argument 'delay'", "factor '' is not a number", ok, ok,
       shape, shape, shape, shape, shape, shape, shape, shape, shape, shape,
-      shape, shape, ok, ok, ok, ok, "unknown kind 'Burst_loss'",
-      "unknown kind 'bUrst_loss'", "unknown kind 'buRst_loss'",
-      "unknown kind 'burSt_loss'", "unknown kind 'bursT_loss'",
-      "unknown kind 'burst_Loss'", "unknown kind 'burst_lOss'",
-      "unknown kind 'burst_loSs'", "unknown kind 'burst_losS'", ok, ok, ok, ok,
-      "unknown kind 'Rescale'", "unknown kind 'rEscale'",
-      "unknown kind 'reScale'", "unknown kind 'resCale'",
-      "unknown kind 'rescAle'", "unknown kind 'rescaLe'",
-      "unknown kind 'rescalE'", ok, ok, ok, ok,
+      shape, shape, target("p"), target("pa"), target("pat"), target("path"),
+      "unknown kind 'Burst_loss'", "unknown kind 'bUrst_loss'",
+      "unknown kind 'buRst_loss'", "unknown kind 'burSt_loss'",
+      "unknown kind 'bursT_loss'", "unknown kind 'burst_Loss'",
+      "unknown kind 'burst_lOss'", "unknown kind 'burst_loSs'",
+      "unknown kind 'burst_losS'", target("Path0"), target("pAth0"),
+      target("paTh0"), target("patH0"), "unknown kind 'Rescale'",
+      "unknown kind 'rEscale'", "unknown kind 'reScale'",
+      "unknown kind 'resCale'", "unknown kind 'rescAle'",
+      "unknown kind 'rescaLe'", "unknown kind 'rescalE'", target("Path1"),
+      target("pAth1"), target("paTh1"), target("patH1"),
       "unknown rescale argument 'Bw=0.5'", "unknown rescale argument 'bW=0.5'",
       "unknown rescale argument 'Delay=2'",
       "unknown rescale argument 'dElay=2'",
@@ -198,10 +204,12 @@ TEST(FaultPlan, MutatedSpecsRoundTripOrThrowThePinnedMessage) {
       "unknown kind 'lInk_down'", "unknown kind 'liNk_down'",
       "unknown kind 'linK_down'", "unknown kind 'link_Down'",
       "unknown kind 'link_dOwn'", "unknown kind 'link_doWn'",
-      "unknown kind 'link_dowN'", ok, ok, ok, ok, ok, ok, ok, ok, ok, ok, ok,
-      ok, ok, ok, ok, ok, ok, ok, ok, ok, ok, ok, ok, ok, ok, ok, ok, ok, ok,
-      ok, "time 'burst_loss' is not a number", "unknown kind 'path0'",
-      "count 'path0' is not a non-negative integer",
+      "unknown kind 'link_dowN'", target("Path1"), target("pAth1"),
+      target("paTh1"), target("patH1"), ok, ok, ok, ok, ok, ok, ok, ok, ok, ok,
+      ok, ok, ok, ok, ok, ok, ok, ok, target("path1x"), ok, target("path1:"),
+      target("path1,"), target("path1="), target("path1|"), target("path1\x7f"),
+      target("path1\xff"), "time 'burst_loss' is not a number",
+      "unknown kind 'path0'", "count 'path0' is not a non-negative integer",
       "time 'rescale' is not a number", "unknown kind 'path1'",
       "unknown rescale argument 'path1'", ok,
       "time 'link_down' is not a number", "unknown kind 'path1'", ok, ok,

@@ -344,6 +344,27 @@ TEST(Timeline, ExportIsDeterministic) {
             chrome_trace_json(analyzer, options));
 }
 
+TEST(Timeline, CounterNamesFromTheCsvAreEscaped) {
+  const auto& result = traced_session();
+  const TraceAnalyzer analyzer{*result.flight};
+  const std::string csv = ::testing::TempDir() + "quoted_channel.csv";
+  {
+    std::ofstream out{csv};
+    out << "window_start_s,channel,count,sum,mean,min,max,last\n"
+        << "20,a\"b\\c,1,2,2,2,2,2\n";
+  }
+  TimelineOptions options;
+  options.telemetry_csv = csv;
+  JVal root;
+  ASSERT_NO_THROW(root =
+                      JsonParser{chrome_trace_json(analyzer, options)}.parse());
+  std::set<std::string> counters;
+  for (const JVal& ev : root.get("traceEvents")->arr) {
+    if (ev.get("ph")->str == "C") counters.insert(ev.get("name")->str);
+  }
+  EXPECT_EQ(counters, std::set<std::string>{"a\"b\\c"});
+}
+
 TEST(Timeline, WriteChromeTraceRoundTrips) {
   const auto& result = traced_session();
   const TraceAnalyzer analyzer{*result.flight};

@@ -10,9 +10,9 @@
 # @OUT@, which becomes OUT_DIR (emptied first); OUT_DIR in stdout and
 # stderr reads back as @OUT@.  stdout must equal <prefix>.stdout and
 # stderr <prefix>.stderr byte for byte (a missing golden means empty),
-# and every file the tool writes under OUT_DIR must equal
-# <prefix>.<file name>.  A mismatch leaves the actual output next to
-# OUT_DIR as <dir>.stdout / <dir>.stderr.
+# and the files the tool writes under OUT_DIR must be exactly the other
+# <prefix>.<file name> goldens, each byte for byte.  A mismatch leaves
+# the actual output next to OUT_DIR as <dir>.stdout / <dir>.stderr.
 cmake_policy(VERSION 3.20)
 string(REPLACE "|" ";" arg_list "${ARGS}")
 string(REPLACE "@OUT@" "${OUT_DIR}" arg_list "${arg_list}")
@@ -44,7 +44,20 @@ foreach(stream stdout stderr)
                         "actual in ${OUT_DIR}.${stream}:\n${actual}")
   endif()
 endforeach()
+# Written files and their goldens match one to one: a missing side fails
+# compare_files too.
 file(GLOB written RELATIVE "${OUT_DIR}" "${OUT_DIR}/*")
+get_filename_component(golden_dir "${GOLDEN}" DIRECTORY)
+get_filename_component(prefix "${GOLDEN}" NAME)
+string(LENGTH "${prefix}." prefix_len)
+file(GLOB goldens RELATIVE "${golden_dir}" "${GOLDEN}.*")
+foreach(golden IN LISTS goldens)
+  string(SUBSTRING "${golden}" ${prefix_len} -1 name)
+  if(NOT name MATCHES "^std(out|err)$")
+    list(APPEND written "${name}")
+  endif()
+endforeach()
+list(REMOVE_DUPLICATES written)
 foreach(name IN LISTS written)
   execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
                           "${OUT_DIR}/${name}" "${GOLDEN}.${name}"

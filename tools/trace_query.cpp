@@ -1,4 +1,5 @@
-// trace_query: offline inspection of flight-recorder traces.
+// trace_query: offline analysis of run artifacts — flight-recorder traces,
+// telemetry sketches, and the model-vs-measurement gates over reports.
 //
 //   trace_query summary <trace.jsonl> [--tau=SECONDS]
 //       meta, arrival totals, late fraction and the deadline-miss cause
@@ -17,22 +18,60 @@
 //       Chrome trace-event JSON (Perfetto-loadable) to FILE or stdout
 //   trace_query percentiles <sketches.jsonl> [--q=0.5,0.95,0.99]
 //       quantiles from a run's `*_sketches.jsonl` telemetry artifact
+//   trace_query diff <left> <right> [--abs-tol=X] [--rel-tol=X]
+//       [--ignore=PATH,...] [--max-print=N] [--quiet]
+//       structural comparison of two JSON reports (BENCH_*.json, obs
+//       *_report.json, DIVERGENCE_*.json) or CSV tables, format sniffed
+//       from the first non-space byte.  Every field is classified
+//       identical / within-tolerance / diverged / only-left / only-right /
+//       type-mismatch; default tolerance is zero, and --ignore drops dotted
+//       path prefixes, so a thread-invariance gate is one line:
+//         trace_query diff t1/BENCH_fig4.json t8/BENCH_fig4.json
+//             --ignore=timing
+//   trace_query slo <spec.slo> <report.json> [more-reports.json...]
+//       judge a declarative SLO spec; each rule's dotted path is resolved
+//       against the documents in order and the first containing the field
+//       is judged.  A field found in no document is a violation (a gate
+//       must not silently pass by pointing at nothing).  Benches run the
+//       same engine when DMP_SLO is set.
+//   trace_query divergence <report.json> [--json=OUT] [--fail-on-divergence]
+//       a run's model-vs-simulation divergence sections as a table, from a
+//       BENCH_*.json ({"report": {"divergence": [...]}}) or a standalone
+//       DIVERGENCE_*.json ({"divergence": [...]}); --json re-emits them as
+//       a standalone artifact
 //
-// Exit status: 0 on success, 1 on bad usage, 2 on a malformed trace.
+// Exit status:
+//   trace commands (summary .. percentiles): 0 success, 1 bad usage,
+//       2 malformed trace or sketch file
+//   diff: 0 clean (identical or within tolerance), 1 diverged,
+//       2 unreadable/malformed input or bad usage
+//   slo: 0 all rules pass, 1 violations, 2 unreadable/malformed spec or
+//       report
+//   divergence: 0 success, 1 when --fail-on-divergence is given and any
+//       point diverged, 2 unreadable/malformed input or no divergence
+//       section
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "exp/compare/report_diff.hpp"
+#include "exp/compare/slo.hpp"
 #include "obs/telemetry/sketch.hpp"
 #include "obs/telemetry/timeline.hpp"
 #include "obs/trace_analyzer.hpp"
 
 namespace {
 
+using dmp::exp::DiffClass;
+using dmp::exp::DiffOptions;
+using dmp::exp::DiffResult;
+using dmp::exp::JsonValue;
 using dmp::obs::AttributionReport;
 using dmp::obs::FlightRecorder;
 using dmp::obs::LateCause;
@@ -41,11 +80,12 @@ using dmp::obs::PacketTimeline;
 using dmp::obs::rtx_reason_name;
 using dmp::obs::TraceAnalyzer;
 
-void usage() {
+// Prints the usage text and returns `code`, the calling command's
+// bad-usage exit status.
+int usage(int code) {
   std::fprintf(
       stderr,
-      "usage: trace_query <summary|packet|paths|rtx|causes> <trace.jsonl> "
-      "[args]\n"
+      "usage: trace_query <command> <file>... [args]\n"
       "  summary <trace> [--tau=S]          late fraction + cause breakdown\n"
       "  packet  <trace> <number>           one packet's timeline\n"
       "  paths   <trace>                    per-path stats\n"
@@ -54,28 +94,73 @@ void usage() {
       "  timeline <trace> [--telemetry=CSV] [--out=FILE] [--max-packets=N]\n"
       "                                     Perfetto trace-event JSON\n"
       "  percentiles <sketches.jsonl> [--q=0.5,0.95,0.99]\n"
-      "                                     sketch quantiles\n");
+      "                                     sketch quantiles\n"
+      "  diff <left> <right> [--abs-tol=X] [--rel-tol=X]\n"
+      "       [--ignore=PATH,...] [--max-print=N] [--quiet]\n"
+      "                                     compare JSON reports or CSV "
+      "tables\n"
+      "  slo <spec.slo> <report.json> [more...]  judge reports against a "
+      "spec\n"
+      "  divergence <report.json> [--json=OUT] [--fail-on-divergence]\n"
+      "                                     model-vs-simulation divergence\n"
+      "exit: trace commands 1 bad usage, 2 bad trace; diff/slo/divergence\n"
+      "      1 diverged or violated, 2 bad input\n");
+  return code;
 }
 
-double parse_flag(int argc, char** argv, const char* name, double fallback) {
-  const std::size_t len = std::strlen(name);
-  for (int i = 3; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-      return std::atof(argv[i] + len + 1);
-    }
-  }
-  return fallback;
-}
+// A malformed numeric flag value; each command reports it with its own
+// prefix and bad-usage exit status.
+struct BadFlag : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
-const char* parse_str_flag(int argc, char** argv, const char* name) {
-  const std::size_t len = std::strlen(name);
-  for (int i = 3; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
+// The `--name=value` and bare `--name` flags that follow a command's
+// positional arguments (argv[first..]).
+class Flags {
+ public:
+  Flags(int argc, char** argv, int first)
+      : argc_(argc), argv_(argv), first_(first) {}
+
+  const char* value(const char* name) const {
+    const std::size_t len = std::strlen(name);
+    for (int i = first_; i < argc_; ++i) {
+      if (std::strncmp(argv_[i], name, len) == 0 && argv_[i][len] == '=') {
+        return argv_[i] + len + 1;
+      }
     }
+    return nullptr;
   }
-  return nullptr;
-}
+
+  bool has(const char* name) const {
+    for (int i = first_; i < argc_; ++i) {
+      if (std::strcmp(argv_[i], name) == 0) return true;
+    }
+    return false;
+  }
+
+  // The whole value as a T (an integer or a double); `fallback` when the
+  // flag is absent.
+  template <typename T>
+  T number(const char* name, T fallback) const {
+    const char* v = value(name);
+    if (v == nullptr) return fallback;
+    const char* end = v + std::strlen(v);
+    T x{};
+    const auto [ptr, ec] = std::from_chars(v, end, x);
+    if (ec != std::errc{} || ptr != end) {
+      throw BadFlag{std::string(name) + "=" + v + " is not " +
+                    (std::is_integral_v<T> ? "an integer" : "a number")};
+    }
+    return x;
+  }
+
+ private:
+  int argc_;
+  char** argv_;
+  int first_;
+};
+
+// ---------------------------------------------------------------- traces
 
 // Station timestamps are absolute recorder-clock ns; print them relative
 // to the generation epoch so they read as stream time.
@@ -83,8 +168,7 @@ double rel_s(const TraceAnalyzer& az, std::int64_t t_ns) {
   return static_cast<double>(t_ns - az.epoch_ns()) * 1e-9;
 }
 
-void print_attribution(const TraceAnalyzer& az, const AttributionReport& rep,
-                       double tau_s) {
+void print_attribution(const AttributionReport& rep, double tau_s) {
   std::printf("tau            %.3f s\n", tau_s);
   std::printf("total packets  %lld\n",
               static_cast<long long>(rep.total_packets));
@@ -98,14 +182,13 @@ void print_attribution(const TraceAnalyzer& az, const AttributionReport& rep,
                 std::string(late_cause_name(static_cast<LateCause>(c))).c_str(),
                 static_cast<long long>(rep.by_cause[c]));
   }
-  (void)az;
 }
 
 int cmd_summary(const TraceAnalyzer& az, double tau_s) {
   std::printf("mu             %.6g pkts/s\n", az.mu_pps());
   std::printf("epoch          %lld ns\n", static_cast<long long>(az.epoch_ns()));
   std::printf("packets traced %zu\n", az.timelines().size());
-  print_attribution(az, az.attribute(tau_s), tau_s);
+  print_attribution(az.attribute(tau_s), tau_s);
   return 0;
 }
 
@@ -199,7 +282,7 @@ int cmd_rtx(const TraceAnalyzer& az) {
 
 int cmd_causes(const TraceAnalyzer& az, double tau_s, std::int64_t limit) {
   const auto rep = az.attribute(tau_s);
-  print_attribution(az, rep, tau_s);
+  print_attribution(rep, tau_s);
   std::printf("%8s %12s %12s %s\n", "packet", "deadline_s", "arrived_s",
               "cause");
   std::int64_t shown = 0;
@@ -216,14 +299,13 @@ int cmd_causes(const TraceAnalyzer& az, double tau_s, std::int64_t limit) {
   return 0;
 }
 
-int cmd_timeline(const TraceAnalyzer& az, int argc, char** argv) {
+int cmd_timeline(const TraceAnalyzer& az, const Flags& flags) {
   dmp::obs::TimelineOptions options;
-  if (const char* csv = parse_str_flag(argc, argv, "--telemetry")) {
+  if (const char* csv = flags.value("--telemetry")) {
     options.telemetry_csv = csv;
   }
-  options.max_packets = static_cast<std::int64_t>(
-      parse_flag(argc, argv, "--max-packets", -1.0));
-  if (const char* out = parse_str_flag(argc, argv, "--out")) {
+  options.max_packets = flags.number("--max-packets", options.max_packets);
+  if (const char* out = flags.value("--out")) {
     if (!dmp::obs::write_chrome_trace(az, out, options)) {
       std::fprintf(stderr, "error: failed to write %s\n", out);
       return 2;
@@ -238,15 +320,15 @@ int cmd_timeline(const TraceAnalyzer& az, int argc, char** argv) {
 }
 
 // `percentiles` reads a `*_sketches.jsonl` artifact, not a flight trace —
-// dispatched before the trace load in main().
-int cmd_percentiles(const char* path, int argc, char** argv) {
+// dispatched before the trace load.
+int cmd_percentiles(const char* path, const Flags& flags) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "error: cannot open %s\n", path);
     return 2;
   }
   std::vector<double> qs{0.5, 0.95, 0.99};
-  if (const char* spec = parse_str_flag(argc, argv, "--q")) {
+  if (const char* spec = flags.value("--q")) {
     qs.clear();
     for (const char* p = spec; *p != '\0';) {
       char* end = nullptr;
@@ -305,15 +387,9 @@ int cmd_percentiles(const char* path, int argc, char** argv) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc < 3) {
-    usage();
-    return 1;
-  }
-  const std::string cmd = argv[1];
-  if (cmd == "percentiles") return cmd_percentiles(argv[2], argc, argv);
+int run_trace_command(const std::string& cmd, int argc, char** argv) {
+  const Flags flags(argc, argv, 3);
+  if (cmd == "percentiles") return cmd_percentiles(argv[2], flags);
   FlightRecorder recorder;
   try {
     recorder = dmp::obs::read_flight_trace_file(argv[2]);
@@ -332,24 +408,237 @@ int main(int argc, char** argv) {
     return 2;
   }
   const TraceAnalyzer az(recorder);
-  const double tau_s = parse_flag(argc, argv, "--tau", 4.0);
-
-  if (cmd == "summary") return cmd_summary(az, tau_s);
+  if (cmd == "summary") return cmd_summary(az, flags.number("--tau", 4.0));
   if (cmd == "packet") {
-    if (argc < 4) {
-      usage();
-      return 1;
-    }
+    if (argc < 4) return usage(1);
     return cmd_packet(az, std::atoll(argv[3]));
   }
   if (cmd == "paths") return cmd_paths(az);
   if (cmd == "rtx") return cmd_rtx(az);
-  if (cmd == "timeline") return cmd_timeline(az, argc, argv);
+  if (cmd == "timeline") return cmd_timeline(az, flags);
   if (cmd == "causes") {
-    const auto limit = static_cast<std::int64_t>(
-        parse_flag(argc, argv, "--limit", 50.0));
-    return cmd_causes(az, tau_s, limit);
+    return cmd_causes(az, flags.number("--tau", 4.0),
+                      flags.number("--limit", std::int64_t{50}));
   }
-  usage();
+  return usage(1);
+}
+
+// --------------------------------------------------------------- reports
+//
+// Their error messages keep the `run_diff: error:`, `slo_check:` and
+// `divergence_report:` prefixes that CI logs and docs match on.
+
+// JSON document or CSV table, decided by the first non-space byte.
+JsonValue load_artifact(const std::string& path) {
+  std::ifstream probe(path, std::ios::binary);
+  if (!probe) throw std::runtime_error{"cannot open " + path};
+  char c = '\0';
+  while (probe.get(c) && (c == ' ' || c == '\t' || c == '\n' || c == '\r')) {
+  }
+  if (!probe) throw std::runtime_error{path + " is empty"};
+  if (c == '{' || c == '[') return dmp::exp::parse_json_file(path);
+  return dmp::exp::csv_file_to_json(path);
+}
+
+int cmd_diff(int argc, char** argv) {
+  if (argc < 4) return usage(2);
+  const char* left_path = argv[2];
+  const char* right_path = argv[3];
+  const Flags flags(argc, argv, 4);
+  DiffOptions options;
+  long long max_print = 40;
+  JsonValue left, right;
+  try {
+    options.abs_tol = flags.number("--abs-tol", options.abs_tol);
+    options.rel_tol = flags.number("--rel-tol", options.rel_tol);
+    max_print = flags.number("--max-print", max_print);
+    left = load_artifact(left_path);
+    right = load_artifact(right_path);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "run_diff: error: %s\n", e.what());
+    return 2;
+  }
+  if (const char* v = flags.value("--ignore")) {
+    std::string prefix;
+    for (const char* p = v;; ++p) {
+      if (*p == ',' || *p == '\0') {
+        if (!prefix.empty()) options.ignore.push_back(prefix);
+        prefix.clear();
+        if (*p == '\0') break;
+      } else {
+        prefix += *p;
+      }
+    }
+  }
+
+  const DiffResult result = dmp::exp::diff_reports(left, right, options);
+
+  if (!flags.has("--quiet")) {
+    long long printed = 0;
+    for (const auto& d : result.diffs) {
+      if (printed++ >= max_print) {
+        std::printf("... (%zu entries total; raise --max-print)\n",
+                    result.diffs.size());
+        break;
+      }
+      std::printf("%-13s %s: %s -> %s", diff_class_name(d.cls).data(),
+                  d.path.c_str(), d.left.empty() ? "-" : d.left.c_str(),
+                  d.right.empty() ? "-" : d.right.c_str());
+      if (d.cls == DiffClass::kDiverged ||
+          d.cls == DiffClass::kWithinTolerance) {
+        std::printf("  (|delta| %.6g)", d.abs_delta);
+      }
+      std::printf("\n");
+    }
+  }
+  std::printf("%zu field(s) compared: %zu identical, %zu within tolerance, "
+              "%zu diverged\n",
+              result.fields_compared, result.identical,
+              result.within_tolerance, result.diverged());
+  if (result.clean()) {
+    std::printf("CLEAN: %s == %s%s\n", left_path, right_path,
+                result.within_tolerance > 0 ? " (within tolerance)" : "");
+    return 0;
+  }
+  std::printf("DIVERGED: %s != %s\n", left_path, right_path);
   return 1;
+}
+
+int cmd_slo(int argc, char** argv) {
+  if (argc < 4) return usage(2);
+  dmp::exp::SloSpec spec;
+  std::vector<JsonValue> docs;
+  try {
+    spec = dmp::exp::SloSpec::parse_file(argv[2]);
+    for (int i = 3; i < argc; ++i) {
+      docs.push_back(dmp::exp::parse_json_file(argv[i]));
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "slo_check: %s\n", e.what());
+    return 2;
+  }
+  std::vector<const JsonValue*> doc_ptrs;
+  for (const auto& d : docs) doc_ptrs.push_back(&d);
+
+  const auto report = dmp::exp::evaluate_slo(spec, doc_ptrs);
+  std::printf("%s: %zu rule(s) against %zu document(s)\n", argv[2],
+              spec.rules.size(), docs.size());
+  for (const auto& r : report.results) {
+    std::printf("  %s\n", r.message.c_str());
+  }
+  if (report.ok()) {
+    std::printf("SLO OK\n");
+    return 0;
+  }
+  std::fprintf(stderr, "SLO FAIL: %zu violation(s)\n", report.violations);
+  return 1;
+}
+
+double member_number(const JsonValue& obj, const char* key) {
+  const JsonValue* v = obj.find(key);
+  return (v != nullptr && v->is_number()) ? v->number : 0.0;
+}
+
+std::string member_text(const JsonValue& obj, const char* key) {
+  const JsonValue* v = obj.find(key);
+  return v != nullptr ? v->text : std::string{};
+}
+
+int cmd_divergence(int argc, char** argv) {
+  if (argc < 3) return usage(2);
+  const char* path = argv[2];
+  const Flags flags(argc, argv, 3);
+  JsonValue doc;
+  try {
+    doc = dmp::exp::parse_json_file(path);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "divergence_report: %s\n", e.what());
+    return 2;
+  }
+  const JsonValue* divergence = doc.find("divergence");
+  if (divergence == nullptr) {
+    if (const JsonValue* report = doc.find("report")) {
+      divergence = report->find("divergence");
+    }
+  }
+  if (divergence == nullptr || !divergence->is_array()) {
+    std::fprintf(stderr,
+                 "divergence_report: %s has no divergence section (run the "
+                 "figure bench from this revision?)\n",
+                 path);
+    return 2;
+  }
+  if (divergence->array.empty()) {
+    std::fprintf(stderr, "divergence_report: %s: divergence section is empty\n",
+                 path);
+    return 2;
+  }
+
+  std::size_t total_diverged = 0;
+  for (const auto& series : divergence->array) {
+    std::printf("series %s  (%s vs model, x = %s)\n",
+                member_text(series, "name").c_str(),
+                member_text(series, "metric").c_str(),
+                member_text(series, "x_label").c_str());
+    std::printf("%-10s %10s %14s %14s %12s %12s  %s\n", "setting", "x",
+                "predicted", "measured", "ci_half", "residual", "ok");
+    if (const JsonValue* points = series.find("points")) {
+      for (const auto& p : points->array) {
+        const JsonValue* ok = p.find("ok");
+        std::printf("%-10s %10.4g %14.6g %14.6g %12.4g %12.4g  %s\n",
+                    member_text(p, "setting").c_str(), member_number(p, "x"),
+                    member_number(p, "predicted"), member_number(p, "measured"),
+                    member_number(p, "ci_half"), member_number(p, "residual"),
+                    (ok != nullptr && ok->boolean) ? "yes" : "NO");
+      }
+    }
+    if (const JsonValue* stats = series.find("stats")) {
+      const auto diverged =
+          static_cast<std::size_t>(member_number(*stats, "diverged"));
+      total_diverged += diverged;
+      std::printf("  stats: n=%g diverged=%zu mean=%.6g rms=%.6g max|r|=%.6g "
+                  "worst=%s@%g\n\n",
+                  member_number(*stats, "count"), diverged,
+                  member_number(*stats, "mean_residual"),
+                  member_number(*stats, "rms_residual"),
+                  member_number(*stats, "max_abs_residual"),
+                  member_text(*stats, "worst_setting").c_str(),
+                  member_number(*stats, "worst_x"));
+    }
+  }
+
+  if (const char* out_path = flags.value("--json")) {
+    std::ofstream out(out_path);
+    JsonValue standalone;
+    standalone.kind = JsonValue::Kind::kObject;
+    standalone.object.emplace_back("divergence", *divergence);
+    if (!out || !(out << standalone.to_json() << "\n")) {
+      std::fprintf(stderr, "divergence_report: cannot write %s\n", out_path);
+      return 2;
+    }
+    std::printf("wrote %s\n", out_path);
+  }
+  if (total_diverged > 0) {
+    std::printf("%zu diverged point(s)\n", total_diverged);
+    if (flags.has("--fail-on-divergence")) return 1;
+  }
+  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const std::string cmd = argc >= 2 ? argv[1] : "";
+  // The report commands read no flight trace; they keep the exit codes
+  // CI gates on (1 diverged or violated, 2 bad input or usage).
+  if (cmd == "diff") return cmd_diff(argc, argv);
+  if (cmd == "slo") return cmd_slo(argc, argv);
+  if (cmd == "divergence") return cmd_divergence(argc, argv);
+  if (argc < 3) return usage(1);
+  try {
+    return run_trace_command(cmd, argc, argv);
+  } catch (const BadFlag& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }
