@@ -349,6 +349,9 @@ SessionResult run_session(const SessionConfig& config) {
   }
 
   result.events_executed = sched.run_until(horizon);
+  result.events_cancelled = sched.events_cancelled();
+  result.events_scheduled = sched.events_scheduled();
+  result.max_events_pending = sched.max_events_pending();
   if (probe) {
     probe->stop();
     result.probe_rows_dropped = probe->dropped_rows();

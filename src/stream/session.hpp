@@ -122,6 +122,11 @@ struct SessionResult {
   std::vector<PathMeasurement> paths;
   std::int64_t packets_generated = 0;
   std::uint64_t events_executed = 0;
+  // The scheduler's other lifetime counters at the end of the run:
+  // popped-and-skipped timer keys, keys ever claimed, pending high water.
+  std::uint64_t events_cancelled = 0;
+  std::uint64_t events_scheduled = 0;
+  std::size_t max_events_pending = 0;
   // Fault events replayed from `config.faults` (0 for fault-free runs).
   std::uint64_t fault_events_fired = 0;
 

@@ -8,6 +8,7 @@
 
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 #include "exp/options.hpp"
 #include "exp/plan.hpp"
@@ -96,6 +97,67 @@ TEST(DesBackend, AggregateReportIsThreadCountInvariantUnderCalendar) {
   EXPECT_EQ(serial.aggregate_json(), parallel.aggregate_json());
   ASSERT_EQ(serial.settings.size(), 1u);
   EXPECT_FALSE(serial.settings[0].metrics.empty());
+}
+
+// Every scheduler counter of a session and the profiler's per-category
+// executed counts, as one line.  A cancelled timer key still occupies the
+// queue until its deadline and is counted when popped, so a double count
+// or a wrong skip moves `cancelled` (and usually `executed`) here.
+std::string scheduler_counters(const SessionResult& r) {
+  auto cat = [&r](EventCategory c) { return r.profile[c].executed; };
+  return "executed=" + std::to_string(r.events_executed) +
+         " cancelled=" + std::to_string(r.events_cancelled) +
+         " scheduled=" + std::to_string(r.events_scheduled) +
+         " max_pending=" + std::to_string(r.max_events_pending) +
+         " tcp_timer=" + std::to_string(cat(EventCategory::kTcpTimer)) +
+         " probe=" + std::to_string(cat(EventCategory::kProbe)) +
+         " tcp_send=" + std::to_string(cat(EventCategory::kTcpSend)) +
+         " link_tx=" + std::to_string(cat(EventCategory::kLinkTx)) +
+         " link_delivery=" + std::to_string(cat(EventCategory::kLinkDelivery));
+}
+
+// The counters of one session under both backends, which must agree.
+std::string pinned_counters(SessionConfig config) {
+  config.profile = true;
+  config.des = "heap";
+  const std::string heap = scheduler_counters(run_session(config));
+  config.des = "calendar";
+  EXPECT_EQ(heap, scheduler_counters(run_session(config)));
+  return heap;
+}
+
+TEST(DesBackend, SchedulerCountersArePinned) {
+  // Table-1 2-2 under the paper's pull scheduler: Reno RTOs on the video
+  // flows, delayed-ACK timers on the FTP/HTTP background.
+  EXPECT_EQ(pinned_counters(quick_config()),
+            "executed=247390 cancelled=18769 scheduled=266421 max_pending=335 "
+            "tcp_timer=3320 probe=0 tcp_send=23112 link_tx=109357 "
+            "link_delivery=109336");
+
+  // K=3 redundant with path1 dark for 5 s: RTO backoff crosses the outage,
+  // so timers are cancelled and re-armed from inside their own callbacks.
+  auto outage = quick_config();
+  outage.path_configs = {table1_config(4), table1_config(4),
+                         table1_config(4)};
+  outage.num_flows = 3;
+  outage.mu_pps = 30.0;
+  outage.scheduler = "redundant";
+  outage.faults = "6 link_down path1; 11 link_up path1";
+  EXPECT_EQ(pinned_counters(outage),
+            "executed=449289 cancelled=36713 scheduled=486312 max_pending=382 "
+            "tcp_timer=3336 probe=0 tcp_send=42990 link_tx=200072 "
+            "link_delivery=200031");
+
+  // The observability probe re-arms its own sampling timer every second.
+  auto probed = quick_config();
+  probed.obs.enabled = true;
+  probed.obs.output_dir = "des_backend_test_out";
+  probed.obs.prefix = "counters";
+  probed.obs.probe_interval_s = 1.0;
+  EXPECT_EQ(pinned_counters(probed),
+            "executed=247425 cancelled=18769 scheduled=266456 max_pending=336 "
+            "tcp_timer=3320 probe=35 tcp_send=23112 link_tx=109357 "
+            "link_delivery=109336");
 }
 
 TEST(DesBackend, DmpDesKnobParsesAndValidates) {
