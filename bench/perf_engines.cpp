@@ -43,9 +43,9 @@ void BM_SchedulerEventChurn(benchmark::State& state) {
     Scheduler sched(backend);
     std::int64_t count = 0;
     std::function<void()> tick = [&] {
-      if (++count < 10000) sched.schedule_after(SimTime::micros(10), tick);
+      if (++count < 10000) sched.post_after(SimTime::micros(10), tick);
     };
-    sched.schedule_at(SimTime::zero(), tick);
+    sched.post_at(SimTime::zero(), tick);
     sched.run();
     benchmark::DoNotOptimize(count);
   }
@@ -56,8 +56,8 @@ BENCHMARK(BM_SchedulerEventChurn)->DenseRange(0, 1);
 // The DES queue's layer row: a deterministic, session-shaped op stream on
 // each backend (arg 0 = calendar, arg 1 = heap).  Packet chains alternate
 // a 10 us - 1 ms transmission with a 10-100 ms propagation, and on every
-// other executed event one flow's 0.2-3 s RTO is cancelled and re-armed,
-// leaving the old entry queued as a tombstone — the Reno per-ACK timer
+// other executed event one flow's 0.2-3 s RTO timer is re-armed, leaving
+// the superseded key queued as a tombstone — the Reno per-ACK timer
 // pattern.  About 300 entries are pending in steady state.  One iteration
 // is one executed event; the `pending` and `cancelled_per_event` counters
 // describe the stream, which is identical on both backends.
@@ -79,8 +79,12 @@ struct SessionMix {
                                                &chains.back());
       sched.post_port_at(SimTime::zero(), chains.back().port);
     }
-    rtos.resize(kFlows);
-    for (EventHandle& rto : rtos) rto = arm_rto();
+    rto_ports.reserve(kFlows);
+    for (int i = 0; i < kFlows; ++i) {
+      rto_ports.push_back(sched.register_port([](void*) {}, nullptr,
+                                              EventCategory::kTcpTimer));
+      arm_rto(rto_ports.back());
+    }
   }
   // Ports hold pointers into this object.
   SessionMix(const SessionMix&) = delete;
@@ -95,22 +99,19 @@ struct SessionMix {
     chain->propagating = !chain->propagating;
     mix.sched.post_port_after(SimTime::seconds(delay_s), chain->port);
     if (++mix.executed % 2 == 0) {
-      EventHandle& rto = mix.rtos[mix.executed / 2 % kFlows];
-      rto.cancel();
-      rto = mix.arm_rto();
+      mix.arm_rto(mix.rto_ports[mix.executed / 2 % kFlows]);
     }
   }
 
-  EventHandle arm_rto() {
-    return sched.schedule_after(SimTime::seconds(rng.uniform(0.2, 3.0)),
-                                [] {}, EventCategory::kTcpTimer);
+  void arm_rto(std::uint32_t port) {
+    sched.arm_port_after(SimTime::seconds(rng.uniform(0.2, 3.0)), port);
   }
 
   Scheduler sched;
   Rng rng{17};
   std::uint64_t executed = 0;
   std::vector<Chain> chains;
-  std::vector<EventHandle> rtos;
+  std::vector<std::uint32_t> rto_ports;
 };
 
 void BM_EventQueueSessionMix(benchmark::State& state) {

@@ -51,6 +51,9 @@ Probe::Probe(Scheduler& sched, MetricsRegistry& registry,
   if (interval_ <= SimTime::zero()) {
     throw std::invalid_argument{"probe interval must be positive"};
   }
+  timer_port_ = sched_.register_port(
+      [](void* ctx) { static_cast<Probe*>(ctx)->tick(); }, this,
+      EventCategory::kProbe);
 }
 
 void Probe::start(SimTime end) {
@@ -58,15 +61,12 @@ void Probe::start(SimTime end) {
   tick();
 }
 
-void Probe::stop() { timer_.cancel(); }
+void Probe::stop() { sched_.cancel_port(timer_port_); }
 
 void Probe::tick() {
   writer_.sample(sched_.now().to_seconds());
   const SimTime next = sched_.now() + interval_;
-  if (next <= end_) {
-    timer_ = sched_.schedule_at(next, [this] { tick(); },
-                                EventCategory::kProbe);
-  }
+  if (next <= end_) sched_.arm_port_at(next, timer_port_);
 }
 
 WallClockProbe::WallClockProbe(MetricsRegistry& registry,

@@ -88,7 +88,7 @@ class Probe {
   ProbeWriter writer_;
   SimTime interval_;
   SimTime end_ = SimTime::max();
-  EventHandle timer_;
+  std::uint32_t timer_port_ = 0;
 };
 
 // Wall-clock probe for the inet layer: call `poll(now_ns)` from the event

@@ -8,9 +8,9 @@
 // are deterministic (safe for golden artifacts); wall times are not —
 // report them, never pin them.
 //
-// The category byte lives in a slab parallel to the scheduler's callable
-// slab, so heap entries stay 24 bytes and the untimed fast path costs one
-// byte store per push and one predictable branch per step.
+// The category byte lives in the port (or, for a posted callable, in a
+// slab parallel to the scheduler's callable slab), so queue entries stay
+// 24 bytes and the untimed fast path costs one predictable branch per step.
 #pragma once
 
 #include <array>

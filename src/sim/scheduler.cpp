@@ -1,6 +1,5 @@
 #include "sim/scheduler.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <utility>
@@ -18,39 +17,19 @@ const char* scheduler_backend_name(SchedulerBackend backend) {
   return backend == SchedulerBackend::kCalendar ? "calendar" : "heap";
 }
 
-void Scheduler::push(SimTime when, EventFn fn, std::uint32_t slot,
-                     EventCategory cat) {
-  if (when < now_) throw std::invalid_argument{"schedule_at: time in the past"};
-  std::uint32_t fn_index;
-  if (!free_fns_.empty()) {
-    fn_index = free_fns_.back();
+void Scheduler::post_at(SimTime when, EventFn fn, EventCategory cat) {
+  const bool reuse = !free_fns_.empty();
+  const std::uint32_t fn_index =
+      reuse ? free_fns_.back() : static_cast<std::uint32_t>(fns_.size());
+  push_new(when, fn_index, "post_at");  // throws before the slab changes
+  if (reuse) {
     free_fns_.pop_back();
     fns_[fn_index] = std::move(fn);
+    fn_cats_[fn_index] = static_cast<std::uint8_t>(cat);
   } else {
-    fn_index = static_cast<std::uint32_t>(fns_.size());
     fns_.push_back(std::move(fn));
-    fn_cats_.push_back(0);
+    fn_cats_.push_back(static_cast<std::uint8_t>(cat));
   }
-  fn_cats_[fn_index] = static_cast<std::uint8_t>(cat);
-  push_entry(Entry{when, next_seq_++, fn_index, slot});
-  max_pending_ = std::max(max_pending_, pending_events());
-}
-
-EventHandle Scheduler::schedule_at(SimTime when, EventFn fn,
-                                   EventCategory cat) {
-  const std::uint32_t slot = pool_->acquire();
-  const std::uint32_t gen = pool_->slots[slot].gen;
-  push(when, std::move(fn), slot, cat);
-  return EventHandle{pool_, slot, gen};
-}
-
-EventHandle Scheduler::schedule_after(SimTime delay, EventFn fn,
-                                      EventCategory cat) {
-  return schedule_at(now_ + delay, std::move(fn), cat);
-}
-
-void Scheduler::post_at(SimTime when, EventFn fn, EventCategory cat) {
-  push(when, std::move(fn), kNoSlot, cat);
 }
 
 void Scheduler::post_after(SimTime delay, EventFn fn, EventCategory cat) {
@@ -59,96 +38,60 @@ void Scheduler::post_after(SimTime delay, EventFn fn, EventCategory cat) {
 
 std::uint32_t Scheduler::register_port(PortFn fn, void* ctx,
                                        EventCategory cat) {
-  ports_.push_back(Port{fn, ctx, static_cast<std::uint8_t>(cat)});
+  ports_.push_back(Port{fn, ctx, kUnarmed, static_cast<std::uint8_t>(cat)});
   return static_cast<std::uint32_t>(ports_.size() - 1);
 }
 
-void Scheduler::dispatch(const Entry& e) {
-  now_ = e.when;
-  ++executed_;
-  if (e.fn_index & kPortBit) {
-    const Port port = ports_[e.fn_index & ~kPortBit];
-    if (profile_ == nullptr) {
-      port.fn(port.ctx);
-      return;
-    }
-    auto& stats = profile_->by_category[port.cat < kNumEventCategories
-                                            ? port.cat
-                                            : 0];
-    ++stats.executed;
-    if (time_events_) {
-      const auto t0 = std::chrono::steady_clock::now();
-      port.fn(port.ctx);
-      const auto t1 = std::chrono::steady_clock::now();
-      stats.wall_ns += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-              .count());
-    } else {
-      port.fn(port.ctx);
-    }
+namespace {
+
+// Runs one event's callback, charging it to `cat` when a profile is
+// attached (and its wall time when `timed`).
+template <typename Fn>
+void run_event(SchedProfile* profile, bool timed, std::uint8_t cat, Fn&& fn) {
+  if (profile == nullptr) {
+    fn();
     return;
   }
-  EventFn fn = std::move(fns_[e.fn_index]);
-  const std::uint8_t cat = fn_cats_[e.fn_index];
-  free_fns_.push_back(e.fn_index);
-  if (profile_ == nullptr) {
+  auto& stats = profile->by_category[cat < kNumEventCategories ? cat : 0];
+  ++stats.executed;
+  if (!timed) {
     fn();
-  } else {
-    auto& stats = profile_->by_category[cat < kNumEventCategories ? cat : 0];
-    ++stats.executed;
-    if (time_events_) {
-      const auto t0 = std::chrono::steady_clock::now();
-      fn();
-      const auto t1 = std::chrono::steady_clock::now();
-      stats.wall_ns += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-              .count());
-    } else {
-      fn();
-    }
+    return;
   }
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  const auto t1 = std::chrono::steady_clock::now();
+  stats.wall_ns += static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
 }
+
+}  // namespace
 
 bool Scheduler::step(SimTime horizon) {
   while (!q_empty()) {
     if (q_min().when > horizon) return false;
     const Entry top = q_pop();
-    if (!(top.fn_index & kPortBit) && top.slot != kNoSlot) {
-      // Release the callable slab slot before the cancellation check so
-      // cancelled entries recycle their storage exactly like fired ones.
-      EventFn fn = std::move(fns_[top.fn_index]);
-      const std::uint8_t cat = fn_cats_[top.fn_index];
-      free_fns_.push_back(top.fn_index);
-      // The slot is released exactly once — here — so its generation still
-      // matches this entry's and `cancelled` is this entry's flag.
-      const bool was_cancelled = pool_->slots[top.slot].cancelled;
-      pool_->release(top.slot);  // the handle goes dead before fn() runs
-      if (was_cancelled) {
+    if (top.fn_index & kTimerBit) {
+      // Only the port's armed key is live; a superseded or cancelled one
+      // is a tombstone.  Disarming first lets the callback re-arm.
+      std::uint64_t& armed = ports_[top.fn_index & kPortMask].armed;
+      if (armed != top.seq) {
         ++cancelled_;
         continue;
       }
-      now_ = top.when;
-      ++executed_;
-      if (profile_ == nullptr) {
-        fn();
-      } else {
-        auto& stats =
-            profile_->by_category[cat < kNumEventCategories ? cat : 0];
-        ++stats.executed;
-        if (time_events_) {
-          const auto t0 = std::chrono::steady_clock::now();
-          fn();
-          const auto t1 = std::chrono::steady_clock::now();
-          stats.wall_ns += static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                  .count());
-        } else {
-          fn();
-        }
-      }
-      return true;
+      armed = kUnarmed;
     }
-    dispatch(top);
+    now_ = top.when;
+    ++executed_;
+    if (top.fn_index & kPortBit) {
+      const Port port = ports_[top.fn_index & kPortMask];
+      run_event(profile_, time_events_, port.cat,
+                [&port] { port.fn(port.ctx); });
+    } else {
+      EventFn fn = std::move(fns_[top.fn_index]);
+      free_fns_.push_back(top.fn_index);
+      run_event(profile_, time_events_, fn_cats_[top.fn_index], fn);
+    }
     return true;
   }
   return false;

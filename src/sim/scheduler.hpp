@@ -2,9 +2,7 @@
 //
 // Entries are (time, sequence, callback) triples.  Entries scheduled at the
 // same instant fire in scheduling order (FIFO tie-break), which keeps runs
-// deterministic.  Cancellation is lazy: `EventHandle::cancel()` marks the
-// entry and the run loop skips it when popped — O(1) cancel, no queue
-// surgery, which suits TCP timers that are rescheduled on every ACK.
+// deterministic.
 //
 // Two priority-queue backends sit behind one knob (docs/DES_ENGINE.md):
 //
@@ -17,35 +15,40 @@
 //               (when, seq) — so every golden artifact is
 //               backend-independent (CI diffs the two).
 //
-// Hot-path cost model: callables live in a pooled slab of EventFn slots
-// (inline storage, no per-event heap allocation) and queue entries carry
-// only {time, seq, slot indexes} — 24 trivially-movable bytes — so queue
-// operations never touch the callable.  The common case (a link delivery,
-// a CBR tick) never cancels, so `post_at` / `post_after` skip cancellation
-// bookkeeping entirely.  `schedule_at` / `schedule_after` return a
-// cancellable EventHandle backed by a pooled generation-stamped slot: slots
-// are recycled through free lists, so steady-state timer churn allocates
-// nothing.  Handles stay safe after the scheduler dies (the slot pool is
-// shared) — they simply report `pending() == false`.
+// Hot-path cost model: queue entries carry only {time, seq, callable
+// index} — 24 trivially-movable bytes — so queue operations never touch
+// the callable.  `post_at` / `post_after` keep a captured callable in a
+// pooled slab of EventFn slots (inline storage, no per-event heap
+// allocation); nothing posted this way can be cancelled.
 //
-// Ports + deferred events (the batched-dequeue fast path): an object whose
-// events always run the same member function registers a raw function
-// pointer once (`register_port`) and schedules against the port id — no
-// EventFn construction, no slab traffic, no type erasure on pop.  An object
-// that owns a FIFO of future events (a link's in-flight deliveries, a
-// sender's jittered emissions) keeps the FIFO itself and materializes only
-// its head in the queue: `defer_at` allocates the event's (when, seq) key —
-// at the exact moment the old code would have pushed it, so sequence
-// numbers and FIFO tie-breaks are unchanged — and `arm_deferred` inserts a
-// stored key when it becomes the FIFO's head.  Deferred events are counted
-// in `pending_events()` / `max_events_pending()` as if they were queued, so
-// every externally observable counter matches the one-entry-per-event
-// implementation bit for bit.
+// Ports (the devirtualized path): an object whose events always run the
+// same member function registers a raw function pointer once
+// (`register_port`) and schedules against the port id — no EventFn
+// construction, no slab traffic, no type erasure on pop.
+//
+// Timers are ports too, and the scheduler's only cancellation mechanism.
+// A port remembers the seq of its one armed key: `arm_port_at` pushes a
+// fresh key and makes it the armed one, superseding any earlier key, and
+// `cancel_port` disarms it.  Cancellation is lazy — a superseded or
+// cancelled key stays queued (and counted in `pending_events()`) until its
+// deadline, and popping it is counted in `events_cancelled()` instead of
+// running anything.  The armed seq is cleared before the callback runs,
+// so a callback may re-arm its own timer.  This suits TCP timers that are
+// re-armed on every ACK: no allocation and no shared state per arm.
+//
+// Deferred events: an object that owns a FIFO of future events (a link's
+// in-flight deliveries, a sender's jittered emissions) keeps the FIFO
+// itself and materializes only its head in the queue: `defer_at` allocates
+// the event's (when, seq) key — at the exact moment the old code would
+// have pushed it, so sequence numbers and FIFO tie-breaks are unchanged —
+// and `arm_deferred` inserts a stored key when it becomes the FIFO's head.
+// Deferred events are counted in `pending_events()` / `max_events_pending()`
+// as if they were queued, so every externally observable counter matches
+// the one-entry-per-event implementation bit for bit.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -57,8 +60,6 @@
 
 namespace dmp {
 
-class Scheduler;
-
 // Priority-queue implementation behind the scheduler (see header comment).
 enum class SchedulerBackend : std::uint8_t { kHeap, kCalendar };
 
@@ -66,66 +67,6 @@ enum class SchedulerBackend : std::uint8_t { kHeap, kCalendar };
 // "calendar".  Throws std::invalid_argument on anything else.
 SchedulerBackend parse_scheduler_backend(const std::string& spec);
 const char* scheduler_backend_name(SchedulerBackend backend);
-
-namespace detail {
-
-// Generation-stamped cancellation slots.  A slot matches a handle only
-// while the generations agree; firing or skipping an event bumps the
-// generation and recycles the slot.
-struct SlotPool {
-  struct Slot {
-    std::uint32_t gen = 0;
-    bool cancelled = false;
-  };
-  std::vector<Slot> slots;
-  std::vector<std::uint32_t> free_list;
-
-  std::uint32_t acquire() {
-    if (!free_list.empty()) {
-      const std::uint32_t idx = free_list.back();
-      free_list.pop_back();
-      return idx;
-    }
-    slots.push_back(Slot{});
-    return static_cast<std::uint32_t>(slots.size() - 1);
-  }
-
-  void release(std::uint32_t idx) {
-    ++slots[idx].gen;
-    slots[idx].cancelled = false;
-    free_list.push_back(idx);
-  }
-
-  bool live(std::uint32_t idx, std::uint32_t gen) const {
-    return slots[idx].gen == gen;
-  }
-};
-
-}  // namespace detail
-
-// Shared cancellation token for a scheduled event.
-class EventHandle {
- public:
-  EventHandle() = default;
-
-  // True while the event is scheduled and not cancelled / fired.
-  bool pending() const {
-    return pool_ && pool_->live(slot_, gen_) && !pool_->slots[slot_].cancelled;
-  }
-  void cancel() {
-    if (pool_ && pool_->live(slot_, gen_)) pool_->slots[slot_].cancelled = true;
-  }
-
- private:
-  friend class Scheduler;
-  EventHandle(std::shared_ptr<detail::SlotPool> pool, std::uint32_t slot,
-              std::uint32_t gen)
-      : pool_(std::move(pool)), slot_(slot), gen_(gen) {}
-
-  std::shared_ptr<detail::SlotPool> pool_;
-  std::uint32_t slot_ = 0;
-  std::uint32_t gen_ = 0;
-};
 
 class Scheduler {
  public:
@@ -137,32 +78,39 @@ class Scheduler {
   SimTime now() const { return now_; }
   SchedulerBackend backend() const { return backend_; }
 
-  // Schedule `fn` at absolute time `when` (must be >= now()).  The
-  // category tags the event for the optional profiler; kOther is free to
-  // leave in place at call sites nobody profiles.
-  EventHandle schedule_at(SimTime when, EventFn fn,
-                          EventCategory cat = EventCategory::kOther);
-  // Schedule `fn` after a relative delay (must be >= 0).
-  EventHandle schedule_after(SimTime delay, EventFn fn,
-                             EventCategory cat = EventCategory::kOther);
-
-  // Fire-and-forget variants for events that are never cancelled (packet
-  // deliveries, generator ticks): no slot, no handle, no shared state.
+  // Schedule `fn` at absolute time `when` (must be >= now()); events
+  // posted this way are never cancelled.  The category tags the event for
+  // the optional profiler; kOther is free to leave in place at call sites
+  // nobody profiles.
   void post_at(SimTime when, EventFn fn,
                EventCategory cat = EventCategory::kOther);
+  // Post `fn` after a relative delay (must be >= 0).
   void post_after(SimTime delay, EventFn fn,
                   EventCategory cat = EventCategory::kOther);
 
-  // --- ports: devirtualized fire-and-forget dispatch ---
+  // --- ports: devirtualized dispatch ---
   // A port binds (function pointer, context, category) once; port events
-  // skip the EventFn slab entirely.  Ports are never cancelled and never
-  // unregistered; the context must outlive every scheduled port event.
+  // skip the EventFn slab entirely.  Ports are never unregistered; the
+  // context must outlive every scheduled port event and every armed key.
   using PortFn = void (*)(void* ctx);
   std::uint32_t register_port(PortFn fn, void* ctx,
                               EventCategory cat = EventCategory::kOther);
   // Defined inline below: these run once per simulated packet hop.
   void post_port_at(SimTime when, std::uint32_t port);
   void post_port_after(SimTime delay, std::uint32_t port);
+
+  // --- timers: a port with at most one armed key ---
+  // `arm_port_at` pushes a new key for `port` and makes it the armed one;
+  // a key armed earlier is superseded.  A popped key that is not its
+  // port's armed key is skipped and counted in events_cancelled().
+  void arm_port_at(SimTime when, std::uint32_t port);
+  void arm_port_after(SimTime delay, std::uint32_t port);
+  void cancel_port(std::uint32_t port) { ports_[port].armed = kUnarmed; }
+  // True from an arm until its key fires (cleared before the callback
+  // runs) or the timer is cancelled.
+  bool port_armed(std::uint32_t port) const {
+    return ports_[port].armed != kUnarmed;
+  }
 
   // --- deferred events: caller-owned FIFOs with one armed head ---
   // `defer_at` claims the event's (when, seq) key NOW — bumping the
@@ -201,12 +149,11 @@ class Scheduler {
   // Pending = queued entries + deferred keys parked in caller FIFOs, i.e.
   // every event that would have been queued before deferral existed.
   std::size_t pending_events() const { return q_size() + deferred_pending_; }
-  std::size_t events_pending() const { return pending_events(); }
 
-  // Lifetime work counters.  Lazily-cancelled entries popped off the queue
-  // are counted separately from executed events, so scheduler metrics
-  // distinguish real work from cancel skips (TCP timers are rescheduled on
-  // every ACK, so skips can rival executions).
+  // Lifetime work counters.  Cancelled or superseded timer keys popped off
+  // the queue are counted separately from executed events, so scheduler
+  // metrics distinguish real work from cancel skips (TCP timers are
+  // re-armed on every ACK, so skips can rival executions).
   std::uint64_t events_executed() const { return executed_; }
   std::uint64_t events_cancelled() const { return cancelled_; }
   std::uint64_t events_scheduled() const { return next_seq_; }
@@ -214,9 +161,13 @@ class Scheduler {
   std::size_t max_events_pending() const { return max_pending_; }
 
  private:
-  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
-  // fn_index values with this bit set index ports_, not the EventFn slab.
+  // fn_index values with kPortBit set index ports_, not the EventFn slab;
+  // kTimerBit additionally marks a timer key, live only while it is its
+  // port's armed key.
   static constexpr std::uint32_t kPortBit = 0x80000000u;
+  static constexpr std::uint32_t kTimerBit = 0x40000000u;
+  static constexpr std::uint32_t kPortMask = ~(kPortBit | kTimerBit);
+  static constexpr std::uint64_t kUnarmed = ~std::uint64_t{0};
 
   // Queue entries are deliberately tiny and trivially movable: the callable
   // sits in the fns_ slab (or a port), referenced by index, so queue
@@ -225,7 +176,6 @@ class Scheduler {
     SimTime when;
     std::uint64_t seq;
     std::uint32_t fn_index;  // into fns_, or ports_ when kPortBit is set
-    std::uint32_t slot;      // kNoSlot for fire-and-forget posts
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -236,12 +186,13 @@ class Scheduler {
   struct Port {
     PortFn fn;
     void* ctx;
+    std::uint64_t armed;  // seq of the live timer key, or kUnarmed
     std::uint8_t cat;
   };
 
-  void push(SimTime when, EventFn fn, std::uint32_t slot, EventCategory cat);
+  // Claims the next seq for a new entry and queues it.
+  void push_new(SimTime when, std::uint32_t fn_index, const char* what);
   void push_entry(const Entry& e);
-  void dispatch(const Entry& e);
 
   // Backend dispatch.  One predictable branch per operation; both backends
   // order on exactly (when, seq).
@@ -265,8 +216,6 @@ class Scheduler {
   std::size_t deferred_pending_ = 0;  // claimed keys parked in caller FIFOs
   SchedProfile* profile_ = nullptr;  // not owned; null = no attribution
   bool time_events_ = false;
-  std::shared_ptr<detail::SlotPool> pool_ =
-      std::make_shared<detail::SlotPool>();
   std::vector<EventFn> fns_;               // slab of pending callables
   std::vector<std::uint8_t> fn_cats_;      // category byte, parallel to fns_
   std::vector<std::uint32_t> free_fns_;    // recycled slab indexes
@@ -294,16 +243,30 @@ inline Scheduler::Entry Scheduler::q_pop() {
   return e;
 }
 
-inline void Scheduler::post_port_at(SimTime when, std::uint32_t port) {
+inline void Scheduler::push_new(SimTime when, std::uint32_t fn_index,
+                                const char* what) {
   if (when < now_) {
-    throw std::invalid_argument{"post_port_at: time in the past"};
+    throw std::invalid_argument{std::string{what} + ": time in the past"};
   }
-  push_entry(Entry{when, next_seq_++, port | kPortBit, kNoSlot});
+  push_entry(Entry{when, next_seq_++, fn_index});
   if (pending_events() > max_pending_) max_pending_ = pending_events();
+}
+
+inline void Scheduler::post_port_at(SimTime when, std::uint32_t port) {
+  push_new(when, port | kPortBit, "post_port_at");
 }
 
 inline void Scheduler::post_port_after(SimTime delay, std::uint32_t port) {
   post_port_at(now_ + delay, port);
+}
+
+inline void Scheduler::arm_port_at(SimTime when, std::uint32_t port) {
+  push_new(when, port | kPortBit | kTimerBit, "arm_port_at");
+  ports_[port].armed = next_seq_ - 1;
+}
+
+inline void Scheduler::arm_port_after(SimTime delay, std::uint32_t port) {
+  arm_port_at(now_ + delay, port);
 }
 
 inline Scheduler::Deferred Scheduler::defer_at(SimTime when) {
@@ -326,7 +289,7 @@ inline void Scheduler::arm_deferred(const Deferred& d, std::uint32_t port) {
   // Moves one event from a caller FIFO into the queue: total pending is
   // unchanged, so no high-water update.
   --deferred_pending_;
-  push_entry(Entry{d.when, d.seq, port | kPortBit, kNoSlot});
+  push_entry(Entry{d.when, d.seq, port | kPortBit});
 }
 
 }  // namespace dmp

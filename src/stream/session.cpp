@@ -40,7 +40,7 @@ QdiscSpec qdisc_for_path(const QdiscSpec& spec, std::uint64_t session_seed,
 void attach_scheduler_gauges(obs::MetricsRegistry& registry,
                              const Scheduler& sched) {
   registry.gauge("sched.events_pending").set_sampler([&sched] {
-    return static_cast<double>(sched.events_pending());
+    return static_cast<double>(sched.pending_events());
   });
   registry.gauge("sched.events_executed").set_sampler([&sched] {
     return static_cast<double>(sched.events_executed());
@@ -460,9 +460,9 @@ SessionResult run_session(const SessionConfig& config) {
     report.set_scalar("events_executed",
                       static_cast<std::int64_t>(result.events_executed));
     report.set_scalar("events_cancelled",
-                      static_cast<std::int64_t>(sched.events_cancelled()));
+                      static_cast<std::int64_t>(result.events_cancelled));
     report.set_scalar("max_events_pending",
-                      static_cast<std::int64_t>(sched.max_events_pending()));
+                      static_cast<std::int64_t>(result.max_events_pending));
     report.set_scalar("events_overwritten",
                       static_cast<std::int64_t>(events->overwritten()));
     report.set_scalar("fault_events_fired",

@@ -16,6 +16,8 @@ RenoSender::RenoSender(Scheduler& sched, FlowId flow, TcpConfig config,
       jitter_rng_(config.jitter_seed ^ (0xD1B54A32D192ED03ULL * (flow + 1))) {
   emit_port_id_ =
       sched_.register_port(&RenoSender::emit_port, this, EventCategory::kTcpSend);
+  rto_port_id_ = sched_.register_port(&RenoSender::rto_port, this,
+                                     EventCategory::kTcpTimer);
 }
 
 std::size_t RenoSender::space() const {
@@ -98,7 +100,7 @@ void RenoSender::emit(std::int64_t seq) {
   if (flight_) p.injected = sched_.now();
   transmit(p);
 
-  if (!rtx_timer_.pending()) arm_rto();
+  if (!sched_.port_armed(rto_port_id_)) arm_rto();
 }
 
 void RenoSender::transmit(const Packet& p) {
@@ -146,9 +148,9 @@ SimTime RenoSender::current_rto() const {
 }
 
 void RenoSender::arm_rto() {
-  rtx_timer_.cancel();
-  rtx_timer_ = sched_.schedule_after(current_rto(), [this] { on_rto(); },
-                                     EventCategory::kTcpTimer);
+  // Supersedes the armed deadline, if any: its key stays queued as a
+  // tombstone until then.
+  sched_.arm_port_after(current_rto(), rto_port_id_);
 }
 
 void RenoSender::rtt_sample(SimTime sample) {
@@ -223,7 +225,7 @@ void RenoSender::on_ack(const Packet& ack) {
     dupacks_ = 0;
 
     if (snd_una_ == snd_max_) {
-      rtx_timer_.cancel();
+      sched_.cancel_port(rto_port_id_);
     } else {
       arm_rto();
     }

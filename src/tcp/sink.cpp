@@ -4,7 +4,12 @@ namespace dmp {
 
 TcpSink::TcpSink(Scheduler& sched, FlowId flow, TcpConfig config,
                  PacketHandler ack_out)
-    : sched_(sched), flow_(flow), config_(config), ack_out_(std::move(ack_out)) {}
+    : sched_(sched),
+      flow_(flow),
+      config_(config),
+      ack_out_(std::move(ack_out)),
+      delack_port_id_(sched_.register_port(&TcpSink::delack_port, this,
+                                           EventCategory::kTcpTimer)) {}
 
 void TcpSink::attach_metrics(obs::MetricsRegistry& registry,
                              const std::string& prefix) {
@@ -65,7 +70,7 @@ void TcpSink::on_data(const Packet& p) {
       send_ack();  // every second in-order segment
     } else {
       ack_pending_ = true;
-      schedule_delack();
+      sched_.arm_port_after(config_.delack_timeout, delack_port_id_);
     }
     return;
   }
@@ -84,7 +89,7 @@ void TcpSink::on_data(const Packet& p) {
 
 void TcpSink::send_ack() {
   ack_pending_ = false;
-  delack_timer_.cancel();
+  sched_.cancel_port(delack_port_id_);
   Packet ack;
   ack.flow = flow_;
   ack.kind = PacketKind::kAck;
@@ -96,11 +101,9 @@ void TcpSink::send_ack() {
   ack_out_(ack);
 }
 
-void TcpSink::schedule_delack() {
-  delack_timer_.cancel();
-  delack_timer_ = sched_.schedule_after(config_.delack_timeout, [this] {
-    if (ack_pending_) send_ack();
-  }, EventCategory::kTcpTimer);
+void TcpSink::delack_port(void* ctx) {
+  auto* self = static_cast<TcpSink*>(ctx);
+  if (self->ack_pending_) self->send_ack();
 }
 
 }  // namespace dmp

@@ -58,7 +58,7 @@ class TcpSink {
 
  private:
   void send_ack();
-  void schedule_delack();
+  static void delack_port(void* ctx);
   void record_flight(obs::FlightEventKind kind, std::int64_t app_tag,
                      std::int64_t seq);
 
@@ -71,7 +71,7 @@ class TcpSink {
   std::int64_t rcv_nxt_ = 0;
   std::map<std::int64_t, std::int64_t> reorder_buffer_;  // seq -> app_tag
   bool ack_pending_ = false;
-  EventHandle delack_timer_;
+  std::uint32_t delack_port_id_;  // delayed-ACK timer
 
   std::uint64_t segments_received_ = 0;
   std::uint64_t duplicate_segments_ = 0;

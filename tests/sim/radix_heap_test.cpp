@@ -9,8 +9,9 @@
 //     same-nanosecond ties appended, sorted-inserted and refilled out of
 //     seq order, rebase on a push below the last minimum);
 //   * full Scheduler(kHeap) vs Scheduler(kCalendar) driven by op streams
-//     (schedule / cancel / post / port / defer+arm, run_until horizons) —
-//     execution order, clocks and every counter must match exactly.
+//     (timer arm / cancel / re-arm, post / port / defer+arm, run_until
+//     horizons) — execution order, clocks and every counter must match
+//     exactly.
 #include "sim/radix_heap.hpp"
 
 #include <gtest/gtest.h>
@@ -248,11 +249,56 @@ struct DeferFifo {
   }
 };
 
+// A pool of registered timer ports.  Each arm gives the timer a fresh id,
+// which it logs when (and only if) that arm fires.
+struct TimerPool {
+  struct Timer {
+    Scheduler* sched;
+    SchedLog* log;
+    std::uint32_t port;
+    int id;
+  };
+  Scheduler* sched;
+  std::vector<Timer> timers;
+
+  TimerPool(Scheduler& s, SchedLog& log, std::size_t n) : sched(&s) {
+    timers.resize(n, Timer{&s, &log, 0, -1});
+    for (Timer& t : timers) t.port = s.register_port(&TimerPool::fire, &t);
+  }
+
+  static void fire(void* ctx) {
+    const auto* t = static_cast<Timer*>(ctx);
+    t->log->fired_at_ns.push_back(t->sched->now().ns());
+    t->log->fired_id.push_back(t->id);
+  }
+
+  // Arms a random idle timer, if any, with `id`.
+  void arm_idle(std::mt19937_64& rng, SimTime when, int id) {
+    const std::size_t start = rng() % timers.size();
+    for (std::size_t i = 0; i < timers.size(); ++i) {
+      Timer& t = timers[(start + i) % timers.size()];
+      if (sched->port_armed(t.port)) continue;
+      t.id = id;
+      sched->arm_port_at(when, t.port);
+      return;
+    }
+  }
+
+  // Cancels a random armed timer, if any.
+  void cancel_armed(std::mt19937_64& rng) {
+    std::vector<std::uint32_t> armed;
+    for (const Timer& t : timers) {
+      if (sched->port_armed(t.port)) armed.push_back(t.port);
+    }
+    if (!armed.empty()) sched->cancel_port(armed[rng() % armed.size()]);
+  }
+};
+
 SchedLog drive_mixed_workload(SchedulerBackend backend) {
   Scheduler sched(backend);
   SchedLog log;
   std::mt19937_64 rng(777);
-  std::vector<EventHandle> handles;
+  TimerPool timers(sched, log, 64);
   int next_id = 0;
 
   // One registered port firing a fixed id, plus a deferred FIFO.
@@ -281,11 +327,7 @@ SchedLog drive_mixed_workload(SchedulerBackend backend) {
           sched.now() + SimTime::nanos(static_cast<std::int64_t>(
                             rng() % 2'000'000));
       if (kind < 35) {
-        const int id = next_id++;
-        handles.push_back(sched.schedule_at(when, [&log, &sched, id] {
-          log.fired_at_ns.push_back(sched.now().ns());
-          log.fired_id.push_back(id);
-        }));
+        timers.arm_idle(rng, when, next_id++);
       } else if (kind < 55) {
         const int id = next_id++;
         sched.post_at(when, [&log, &sched, id] {
@@ -297,11 +339,8 @@ SchedLog drive_mixed_workload(SchedulerBackend backend) {
       } else if (kind < 85) {
         if (when > fifo_tail) fifo_tail = when;
         fifo.push(fifo_tail, next_id++);
-      } else if (!handles.empty()) {
-        const std::size_t pick = rng() % handles.size();
-        handles[pick].cancel();
-        handles.erase(handles.begin() +
-                      static_cast<std::ptrdiff_t>(pick));
+      } else {
+        timers.cancel_armed(rng);
       }
     }
     sched.run_until(sched.now() + SimTime::nanos(static_cast<std::int64_t>(
@@ -323,6 +362,8 @@ TEST(SchedulerBackendDifferential, MixedWorkloadIsBitIdentical) {
   const SchedLog heap = drive_mixed_workload(SchedulerBackend::kHeap);
   const SchedLog cal = drive_mixed_workload(SchedulerBackend::kCalendar);
   ASSERT_GT(heap.fired_id.size(), 1000u);
+  EXPECT_GT(heap.fired_at_ns[heap.fired_at_ns.size() - 3], 0)
+      << "some timers must be cancelled";
   ASSERT_EQ(heap.fired_id.size(), cal.fired_id.size());
   ASSERT_EQ(heap.fired_at_ns.size(), cal.fired_at_ns.size());
   for (std::size_t i = 0; i < heap.fired_id.size(); ++i) {
@@ -390,7 +431,7 @@ SchedLog drive_pushes_after_horizon_peek(SchedulerBackend backend) {
   Scheduler sched(backend);
   SchedLog log;
   std::mt19937_64 rng(99);
-  std::vector<EventHandle> timers;
+  TimerPool timers(sched, log, 16);
   int next_id = 0;
   auto fire = [&log, &sched](int id) {
     return [&log, &sched, id] {
@@ -417,12 +458,10 @@ SchedLog drive_pushes_after_horizon_peek(SchedulerBackend backend) {
     sched.post_at(now, fire(next_id++));
     if (now > fifo_tail) fifo_tail = now;
     fifo.push(fifo_tail, next_id++);
-    timers.push_back(sched.schedule_at(
-        now + SimTime::nanos(static_cast<std::int64_t>(rng() % 2000)),
-        fire(next_id++)));
-    if (rng() % 3 == 0) {
-      timers[rng() % timers.size()].cancel();
-    }
+    timers.arm_idle(
+        rng, now + SimTime::nanos(static_cast<std::int64_t>(rng() % 2000)),
+        next_id++);
+    if (rng() % 3 == 0) timers.cancel_armed(rng);
   }
   sched.run();
   append_counters(sched, log);
@@ -438,6 +477,103 @@ TEST(SchedulerBackendDifferential, PushesAtNowAfterRunUntilPeekedPastHorizon) {
   EXPECT_GT(heap.fired_at_ns[heap.fired_at_ns.size() - 4], 0)
       << "some timers must be cancelled";
   expect_identical(heap, radix);
+}
+
+// A timer that re-arms itself from inside its own callback, alternating a
+// later deadline with one at the current instant (behind a same-`when`
+// post), the way Reno's on_rto re-arms the retransmission timer.
+SchedLog drive_rearm_in_callback(SchedulerBackend backend) {
+  Scheduler sched(backend);
+  SchedLog log;
+  struct Ctx {
+    Scheduler* sched;
+    SchedLog* log;
+    std::uint32_t port;
+    int fires;
+  } ctx{&sched, &log, 0, 0};
+  ctx.port = sched.register_port(
+      [](void* p) {
+        auto* c = static_cast<Ctx*>(p);
+        c->log->fired_at_ns.push_back(c->sched->now().ns());
+        c->log->fired_id.push_back(c->fires);
+        if (++c->fires == 8) return;
+        // The key that is running is no longer armed, so this is a fresh
+        // arm, not a supersede.
+        EXPECT_FALSE(c->sched->port_armed(c->port));
+        const SimTime delay =
+            c->fires % 2 == 0 ? SimTime::zero() : SimTime::millis(c->fires);
+        c->sched->post_after(delay, [c] {
+          c->log->fired_at_ns.push_back(c->sched->now().ns());
+          c->log->fired_id.push_back(100 + c->fires);
+        });
+        c->sched->arm_port_after(delay, c->port);
+      },
+      &ctx);
+  sched.arm_port_at(SimTime::millis(1), ctx.port);
+  sched.run();
+  append_counters(sched, log);
+  return log;
+}
+
+TEST(SchedulerBackendDifferential, TimerRearmedFromItsOwnCallback) {
+  const SchedLog heap = drive_rearm_in_callback(SchedulerBackend::kHeap);
+  const SchedLog radix = drive_rearm_in_callback(SchedulerBackend::kCalendar);
+  // Each re-arm fires after the post made just before it.
+  EXPECT_EQ(heap.fired_id, (std::vector<int>{0, 101, 1, 102, 2, 103, 3, 104,
+                                             4, 105, 5, 106, 6, 107, 7}));
+  expect_identical(heap, radix);
+  // executed, cancelled: every key fired, none was a tombstone.
+  EXPECT_EQ(heap.fired_at_ns[heap.fired_at_ns.size() - 5], 15);
+  EXPECT_EQ(heap.fired_at_ns[heap.fired_at_ns.size() - 4], 0);
+}
+
+// Timer keys that tie other events at one `when`: A is cancelled before
+// the run, B is cancelled and C superseded from inside an event at the
+// same instant (their keys already sit in the popping bucket), and C's
+// replacement key lands behind everything queued at that instant.
+SchedLog drive_cancel_tied_key(SchedulerBackend backend) {
+  Scheduler sched(backend);
+  SchedLog log;
+  TimerPool timers(sched, log, 3);
+  const std::uint32_t a = timers.timers[0].port;
+  const std::uint32_t b = timers.timers[1].port;
+  const std::uint32_t c = timers.timers[2].port;
+  auto post = [&](SimTime when, int id, std::function<void()> extra) {
+    sched.post_at(when, [&log, &sched, id, extra] {
+      log.fired_at_ns.push_back(sched.now().ns());
+      log.fired_id.push_back(id);
+      if (extra) extra();
+    });
+  };
+  const SimTime t = SimTime::micros(300);
+  post(SimTime::micros(100), 0, nullptr);  // moves the radix floor below t
+  timers.timers[0].id = 1;
+  sched.arm_port_at(t, a);
+  post(t, 2, [&] {
+    sched.cancel_port(b);
+    sched.arm_port_after(SimTime::zero(), c);  // supersedes C's first key
+  });
+  timers.timers[1].id = 3;
+  sched.arm_port_at(t, b);
+  timers.timers[2].id = 4;
+  sched.arm_port_at(t, c);
+  post(t, 5, nullptr);
+  sched.cancel_port(a);
+  sched.run();
+  append_counters(sched, log);
+  return log;
+}
+
+TEST(SchedulerBackendDifferential, CancelledTimerTiedWithOtherEvents) {
+  const SchedLog heap = drive_cancel_tied_key(SchedulerBackend::kHeap);
+  const SchedLog radix = drive_cancel_tied_key(SchedulerBackend::kCalendar);
+  EXPECT_EQ(heap.fired_id, (std::vector<int>{0, 2, 5, 4}));
+  expect_identical(heap, radix);
+  // executed, cancelled (A, B and C's first key), scheduled, max pending,
+  // pending.
+  const std::vector<std::int64_t> counters(heap.fired_at_ns.end() - 5,
+                                           heap.fired_at_ns.end());
+  EXPECT_EQ(counters, (std::vector<std::int64_t>{4, 3, 7, 6, 0}));
 }
 
 TEST(SchedulerBackend, ParseAndName) {

@@ -52,11 +52,11 @@
 //       section
 #include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -108,11 +108,20 @@ int usage(int code) {
   return code;
 }
 
-// A malformed numeric flag value; each command reports it with its own
-// prefix and bad-usage exit status.
+// A malformed numeric flag value or argument; each command reports it with
+// its own prefix and bad-usage exit status.
 struct BadFlag : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
+
+// All of `text` as a T (an integer or a double); false on anything else,
+// including an empty string or trailing bytes.
+template <typename T>
+bool parse_whole(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
 
 // The `--name=value` and bare `--name` flags that follow a command's
 // positional arguments (argv[first..]).
@@ -144,10 +153,8 @@ class Flags {
   T number(const char* name, T fallback) const {
     const char* v = value(name);
     if (v == nullptr) return fallback;
-    const char* end = v + std::strlen(v);
     T x{};
-    const auto [ptr, ec] = std::from_chars(v, end, x);
-    if (ec != std::errc{} || ptr != end) {
+    if (!parse_whole(v, x)) {
       throw BadFlag{std::string(name) + "=" + v + " is not " +
                     (std::is_integral_v<T> ? "an integer" : "a number")};
     }
@@ -330,16 +337,16 @@ int cmd_percentiles(const char* path, const Flags& flags) {
   std::vector<double> qs{0.5, 0.95, 0.99};
   if (const char* spec = flags.value("--q")) {
     qs.clear();
-    for (const char* p = spec; *p != '\0';) {
-      char* end = nullptr;
-      const double q = std::strtod(p, &end);
-      if (end == p) break;
+    std::string_view rest = spec;
+    for (;;) {
+      const auto comma = rest.find(',');
+      double q = 0.0;
+      if (!parse_whole(rest.substr(0, comma), q)) {
+        throw BadFlag{std::string("--q=") + spec + " is not a number"};
+      }
       qs.push_back(q);
-      p = *end == ',' ? end + 1 : end;
-    }
-    if (qs.empty()) {
-      std::fprintf(stderr, "error: --q needs a comma-separated list\n");
-      return 1;
+      if (comma == std::string_view::npos) break;
+      rest.remove_prefix(comma + 1);
     }
   }
   std::printf("%-28s %10s", "sketch", "count");
@@ -411,7 +418,12 @@ int run_trace_command(const std::string& cmd, int argc, char** argv) {
   if (cmd == "summary") return cmd_summary(az, flags.number("--tau", 4.0));
   if (cmd == "packet") {
     if (argc < 4) return usage(1);
-    return cmd_packet(az, std::atoll(argv[3]));
+    std::int64_t number = 0;
+    if (!parse_whole(argv[3], number)) {
+      throw BadFlag{std::string("packet number ") + argv[3] +
+                    " is not an integer"};
+    }
+    return cmd_packet(az, number);
   }
   if (cmd == "paths") return cmd_paths(az);
   if (cmd == "rtx") return cmd_rtx(az);
