@@ -75,7 +75,7 @@ inline void run_validation_figure(const ValidationSetting& setting,
       if (!result.probe_csv_path.empty()) {
         std::printf(", %s", result.probe_csv_path.c_str());
       }
-      std::printf(", %s\n", result.events_path.c_str());
+      std::printf("\n");
     }
     if (!result.trace_path.empty()) {
       std::printf("flight trace: %s\n", result.trace_path.c_str());

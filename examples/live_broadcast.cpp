@@ -6,15 +6,14 @@
 //   $ ./live_broadcast [mu_pps] [duration_s]
 //
 // Set DMP_OBS=1 to attach the wall-clock observability layer: a server
-// queue-depth time series (live_broadcast_probe.csv), per-path pull/frame
-// counters, and a JSONL event log (live_broadcast_events.jsonl).
+// queue-depth time series (live_broadcast_probe.csv) and per-path
+// pull/frame counters.
 #include <cstdio>
 #include <cstdlib>
 #include <future>
 
 #include "inet/client.hpp"
 #include "inet/server.hpp"
-#include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "util/env.hpp"
 
@@ -27,7 +26,6 @@ int main(int argc, char** argv) {
   const bool obs_on = env_int("DMP_OBS", 0) != 0;
   obs::MetricsRegistry server_metrics;
   obs::MetricsRegistry client_metrics;
-  obs::EventLog events;
 
   ServerConfig server_cfg;
   server_cfg.num_paths = 2;
@@ -36,7 +34,6 @@ int main(int argc, char** argv) {
   server_cfg.send_buffer_bytes = 8 * 1024;
   if (obs_on) {
     server_cfg.metrics = &server_metrics;
-    server_cfg.events = &events;
     server_cfg.probe_interval_s = 0.1;
     server_cfg.probe_csv_path = "live_broadcast_probe.csv";
   }
@@ -79,13 +76,11 @@ int main(int argc, char** argv) {
                     100.0);
   }
   if (obs_on) {
-    events.write_jsonl("live_broadcast_events.jsonl");
     const auto* p0 = server_metrics.find_counter("server.pulls.path0");
     const auto* p1 = server_metrics.find_counter("server.pulls.path1");
     const auto* delay = client_metrics.find_histogram("client.delay_s");
     std::printf("\nobs: pulls %llu / %llu, delay p50/p99 = %.0f/%.0f ms; "
-                "wrote live_broadcast_probe.csv, live_broadcast_events.jsonl"
-                "\n",
+                "wrote live_broadcast_probe.csv\n",
                 static_cast<unsigned long long>(p0 ? p0->value() : 0),
                 static_cast<unsigned long long>(p1 ? p1->value() : 0),
                 delay ? delay->quantile(0.5) * 1e3 : 0.0,

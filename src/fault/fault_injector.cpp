@@ -69,15 +69,6 @@ void FaultInjector::fire(const FaultEvent& e) {
   const Registered& reg = registered_for(e);
   // Record first so the trace shows the fault before its consequences
   // (reclaim pulls, fault drops) at the same timestamp.
-  if (event_log_ && event_log_->enabled(obs::Severity::kWarn)) {
-    event_log_->record(
-        sched_.now().to_seconds(), obs::Severity::kWarn, "fault",
-        {obs::EventField::text("kind", std::string(fault_kind_name(e.kind))),
-         obs::EventField::text("target", e.target),
-         obs::EventField::num("count", e.count),
-         obs::EventField::num("bw_factor", e.bw_factor),
-         obs::EventField::num("delay_factor", e.delay_factor)});
-  }
   if (flight_) {
     obs::FlightEvent fe;
     fe.t_ns = sched_.now().ns();

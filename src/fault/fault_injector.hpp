@@ -19,9 +19,9 @@
 //     at any DMP_THREADS (plans live in SessionConfig, which the
 //     experiment runner copies per replication).
 //
-// Every fired event is recorded in the obs event log (kWarn "fault") and
-// as a kPathFault flight-recorder event, which feeds the `path_fault`
-// deadline-miss cause in obs::TraceAnalyzer.
+// Every fired event is counted (events_fired(), the run report's
+// `fault_events_fired`) and recorded as a kPathFault flight-recorder event,
+// which feeds the `path_fault` deadline-miss cause in obs::TraceAnalyzer.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "fault/fault_plan.hpp"
-#include "obs/event_log.hpp"
 #include "obs/flight_recorder.hpp"
 #include "sim/scheduler.hpp"
 #include "util/sim_time.hpp"
@@ -66,7 +65,6 @@ class FaultInjector {
   std::size_t events_fired() const { return fired_; }
   const FaultPlan& plan() const { return plan_; }
 
-  void set_event_log(obs::EventLog* log) { event_log_ = log; }
   void set_flight_recorder(obs::FlightRecorder* recorder) {
     flight_ = recorder;
   }
@@ -88,7 +86,6 @@ class FaultInjector {
   std::size_t fired_ = 0;
   bool arm_called_ = false;
 
-  obs::EventLog* event_log_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
 };
 

@@ -152,11 +152,6 @@ bool DmpInetServer::pump_connection(Connection& conn) {
 }
 
 ServerStats DmpInetServer::run() {
-  const std::uint64_t run_epoch_ns = monotonic_ns();
-  const auto elapsed_s = [run_epoch_ns] {
-    return static_cast<double>(monotonic_ns() - run_epoch_ns) * 1e-9;
-  };
-
   // Wall-clock observability: the same counter/gauge/probe layer the
   // simulator uses, driven by the poll loop instead of the scheduler.
   obs::Counter* m_generated = nullptr;
@@ -198,10 +193,6 @@ ServerStats DmpInetServer::run() {
     connections[k].fd = std::move(fd);
     connections[k].open = true;
     ++accepted;
-    if (config_.events && config_.events->enabled(obs::Severity::kInfo)) {
-      config_.events->record(elapsed_s(), obs::Severity::kInfo, "accept",
-                             {obs::EventField::num("path", k)});
-    }
   }
 
   ServerStats stats;
@@ -255,10 +246,6 @@ ServerStats DmpInetServer::run() {
       const std::size_t k = resets_[next_reset].second;
       ++next_reset;
       ++stats.conn_resets;
-      if (config_.events && config_.events->enabled(obs::Severity::kWarn)) {
-        config_.events->record(elapsed_s(), obs::Severity::kWarn, "conn_reset",
-                               {obs::EventField::num("path", k)});
-      }
       if (connections[k].open) close_path(connections[k], true);
     }
 
@@ -408,17 +395,10 @@ ServerStats DmpInetServer::run() {
             }
           }
         }
-        const std::size_t replayed = conn.replay.size() - start;
         for (std::size_t j = conn.replay.size(); j > start; --j) {
           queue_.push_front(conn.replay[j - 1]);
         }
         ++stats.reaccepts;
-        if (config_.events && config_.events->enabled(obs::Severity::kInfo)) {
-          config_.events->record(elapsed_s(), obs::Severity::kInfo,
-                                 "re_accept",
-                                 {obs::EventField::num("path", k),
-                                  obs::EventField::num("replayed", replayed)});
-        }
       }
     }
   }
@@ -456,12 +436,6 @@ ServerStats DmpInetServer::run() {
     stats.sent_per_path[i] = connections[i].sent_frames;
   }
   if (config_.metrics) config_.metrics->freeze_samplers();
-  if (config_.events && config_.events->enabled(obs::Severity::kInfo)) {
-    config_.events->record(
-        elapsed_s(), obs::Severity::kInfo, "stream_end",
-        {obs::EventField::num("generated", generated),
-         obs::EventField::num("max_queue", stats.max_queue_packets)});
-  }
   // Destructors close the sockets, signalling EOF to the client.
   return stats;
 }

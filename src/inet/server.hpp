@@ -27,7 +27,6 @@
 
 #include "inet/framing.hpp"
 #include "inet/socket.hpp"
-#include "obs/event_log.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry/time_series.hpp"
@@ -59,14 +58,12 @@ struct ServerConfig {
   // (they may have died in the broken connection's kernel buffers).
   std::size_t replay_frames = 4096;
 
-  // Optional wall-clock observability (never owned by the server; both may
-  // be null).  When `metrics` is set, the run maintains `server.generated`,
+  // Optional wall-clock observability (never owned by the server; may be
+  // null).  When `metrics` is set, the run maintains `server.generated`,
   // per-path `server.pulls.path<k>` counters and a `server.queue_depth`
   // gauge; with `probe_interval_s > 0` and a CSV path, the poll loop also
-  // samples those gauges into a time series.  `events` receives "accept"
-  // and "stream_end" events (timestamps are seconds since run() started).
+  // samples those gauges into a time series.
   obs::MetricsRegistry* metrics = nullptr;
-  obs::EventLog* events = nullptr;
   double probe_interval_s = 0.0;
   std::string probe_csv_path;
   // Optional per-packet flight recorder (not owned; may be null).  Records

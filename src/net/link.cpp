@@ -44,30 +44,13 @@ void Link::record_flight(const Packet& p, obs::FlightEventKind kind,
 // Every congestion discard — the arriving packet on a full/early-dropping
 // queue, a different victim (FQ-PIE overlimit) or a queued head (CoDel) —
 // funnels through here (after the qdisc tallied it), so per-flow counters,
-// telemetry, the event log and the flight recorder see AQM drops exactly
-// the way they saw drop-tail ones.  The drop-cause annotations are gated
-// on `aqm_`: a droptail link's artifacts stay byte-identical to the
-// pre-qdisc implementation.
+// telemetry and the flight recorder see AQM drops exactly the way they saw
+// drop-tail ones.  The drop-cause annotations are gated on `aqm_`: a
+// droptail link's artifacts stay byte-identical to the pre-qdisc
+// implementation.
 void Link::on_qdisc_drop(const Packet& victim, QdiscDropReason reason) {
   ++per_flow_[victim.flow].drops;
   if (ts_drops_) ts_drops_->bump(sched_.now());
-  if (event_log_ && event_log_->enabled(obs::Severity::kWarn)) {
-    if (aqm_) {
-      event_log_->record(
-          sched_.now().to_seconds(), obs::Severity::kWarn, "drop",
-          {obs::EventField::num("flow", victim.flow),
-           obs::EventField::num("seq", victim.seq),
-           obs::EventField::num("queue", qdisc_->len()),
-           obs::EventField::text("cause",
-                                 std::string(qdisc_drop_reason_name(reason)))});
-    } else {
-      event_log_->record(sched_.now().to_seconds(), obs::Severity::kWarn,
-                         "drop",
-                         {obs::EventField::num("flow", victim.flow),
-                          obs::EventField::num("seq", victim.seq),
-                          obs::EventField::num("queue", qdisc_->len())});
-    }
-  }
   if (flight_ && victim.app_tag >= 0) {
     record_flight(victim, obs::FlightEventKind::kLinkDrop, qdisc_->len(),
                   aqm_ ? (reason == QdiscDropReason::kEarly
@@ -89,13 +72,6 @@ void Link::send(const Packet& p) {
   if (down_ || burst_remaining_ > 0) {
     if (!down_) --burst_remaining_;
     ++fault_drops_;
-    if (event_log_ && event_log_->enabled(obs::Severity::kWarn)) {
-      event_log_->record(sched_.now().to_seconds(), obs::Severity::kWarn,
-                         "fault_drop",
-                         {obs::EventField::num("flow", p.flow),
-                          obs::EventField::num("seq", p.seq),
-                          obs::EventField::num("down", down_ ? 1 : 0)});
-    }
     if (flight_ && p.app_tag >= 0) {
       record_flight(p, obs::FlightEventKind::kLinkDrop, qdisc_->len());
     }

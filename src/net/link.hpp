@@ -16,7 +16,6 @@
 #include "net/packet.hpp"
 #include "net/qdisc/droptail.hpp"
 #include "net/qdisc/queue_discipline.hpp"
-#include "obs/event_log.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry/time_series.hpp"
@@ -125,9 +124,6 @@ class Link {
   // set.
   void attach_metrics(obs::MetricsRegistry& registry,
                       const std::string& prefix);
-  // Emits a kWarn "drop" event per congestion discard ("fault_drop" for
-  // injected ones).
-  void set_event_log(obs::EventLog* log) { event_log_ = log; }
   // Records per-stream-packet queue entry/exit/drop span events (packets
   // with app_tag < 0 — ACKs, background traffic — are ignored).  `hop`
   // identifies this link in the trace.
@@ -234,7 +230,6 @@ class Link {
                      std::size_t queue_depth,
                      obs::DropCause cause = obs::DropCause::kNone);
 
-  obs::EventLog* event_log_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   std::int32_t flight_hop_ = -1;
   obs::TimeSeriesChannel* ts_delivered_ = nullptr;

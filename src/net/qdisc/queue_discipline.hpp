@@ -12,8 +12,8 @@
 //   * The qdisc owns the packet queue; the Link owns the transmitter and
 //     all observability.  Drops — whether the arriving packet, a different
 //     victim (FQ-PIE overlimit) or a queued head (CoDel, at dequeue) — are
-//     reported through the drop handler so the Link's counters, event log
-//     and flight recorder see every discard exactly once.
+//     reported through the drop handler so the Link's counters and flight
+//     recorder see every discard exactly once.
 //   * `droptail` reproduces the legacy Link::send decision exactly: same
 //     admit/drop sequence, no RNG consumed, so the default configuration —
 //     and therefore every golden figure — is byte-identical to the
@@ -55,8 +55,7 @@ class QueueDiscipline {
  public:
   // Called once per discard, before enqueue()/dequeue() return, with the
   // victim packet (not necessarily the packet being enqueued) and the
-  // reason.  The Link routes this into its drop counters / event log /
-  // flight recorder.
+  // reason.  The Link routes this into its drop counters / flight recorder.
   using DropHandler = std::function<void(const Packet&, QdiscDropReason)>;
 
   virtual ~QueueDiscipline() = default;

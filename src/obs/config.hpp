@@ -7,29 +7,23 @@
 #include <cstddef>
 #include <string>
 
-#include "obs/event_log.hpp"
-
 namespace dmp::obs {
 
 struct ObsConfig {
   bool enabled = false;
   // Directory for the emitted artifacts; created if missing.  Files are
-  // `<prefix>_report.json`, `<prefix>_probe.csv`, `<prefix>_events.jsonl`.
+  // `<prefix>_report.json`, `<prefix>_probe.csv` and, with the flight
+  // recorder, `<prefix>_trace.jsonl`.
   std::string output_dir = "bench_out";
   std::string prefix = "run";
   // Gauge-snapshot interval for the time-series probe (simulated seconds);
-  // <= 0 disables the probe (counters, events and the report still run).
+  // <= 0 disables the probe (counters and the report still run).
   double probe_interval_s = 1.0;
   // Growth caps on the probe CSV (0 = unlimited): once either limit is
   // reached, further samples are dropped and counted — the run report's
-  // `probe_rows_dropped` scalar surfaces how much was cut.  The event log
-  // is already ring-bounded by `event_ring_capacity` (overwrites are
-  // reported as `events_overwritten`).
+  // `probe_rows_dropped` scalar surfaces how much was cut.
   std::size_t probe_max_rows = 0;
   std::size_t probe_max_bytes = 0;
-  // Ring-buffer capacity for the event log (0 = unbounded).
-  std::size_t event_ring_capacity = 65536;
-  Severity min_severity = Severity::kInfo;
   // Per-packet lifecycle tracing (the flight recorder).  Orthogonal to
   // `enabled`: either toggle brings up the obs layer, but the JSONL trace
   // in `<prefix>_trace.jsonl` is written only when this one is set.
@@ -40,9 +34,6 @@ struct ObsConfig {
   }
   std::string probe_csv_path() const {
     return output_dir + "/" + prefix + "_probe.csv";
-  }
-  std::string events_path() const {
-    return output_dir + "/" + prefix + "_events.jsonl";
   }
   std::string trace_path() const {
     return output_dir + "/" + prefix + "_trace.jsonl";

@@ -132,13 +132,6 @@ void DmpStreamingServer::execute(const SchedDecision& decision) {
         e.queue = static_cast<std::int64_t>(queue_.size());
         flight_->record(e);
       }
-      if (event_log_ && event_log_->enabled(obs::Severity::kDebug)) {
-        event_log_->record(sched_.now().to_seconds(), obs::Severity::kDebug,
-                           "pull",
-                           {obs::EventField::num("path", k),
-                            obs::EventField::num("packet", number),
-                            obs::EventField::num("queue", queue_.size())});
-      }
       senders_[k]->enqueue(number);
       break;
     }
@@ -161,13 +154,6 @@ void DmpStreamingServer::execute(const SchedDecision& decision) {
         e.queue = static_cast<std::int64_t>(queue_.size());
         flight_->record(e);
       }
-      if (event_log_ && event_log_->enabled(obs::Severity::kDebug)) {
-        event_log_->record(sched_.now().to_seconds(), obs::Severity::kDebug,
-                           dup ? "dup" : "parity",
-                           {obs::EventField::num("path", k),
-                            obs::EventField::num("packet", decision.packet),
-                            obs::EventField::num("queue", queue_.size())});
-      }
       senders_[k]->enqueue(decision.packet);
       break;
     }
@@ -185,13 +171,6 @@ void DmpStreamingServer::on_path_down(std::size_t k) {
   reclaimed_ += tags.size();
   queue_.insert(queue_.begin(), tags.begin(), tags.end());
   max_queue_ = std::max(max_queue_, queue_.size());
-  if (event_log_ && event_log_->enabled(obs::Severity::kInfo)) {
-    event_log_->record(sched_.now().to_seconds(), obs::Severity::kInfo,
-                       "reclaim",
-                       {obs::EventField::num("path", k),
-                        obs::EventField::num("packets", tags.size()),
-                        obs::EventField::num("queue", queue_.size())});
-  }
   std::vector<AtRiskPacket> at_risk;
   for (const auto& segment : senders_[k]->transmitted_unacked()) {
     at_risk.push_back(AtRiskPacket{

@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/event_log.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "sim/scheduler.hpp"
@@ -69,9 +68,6 @@ class DmpStreamingServer : public StreamServer {
   // accessors above.  Optional; a no-op when never called.
   void attach_metrics(obs::MetricsRegistry& registry,
                       const std::string& prefix) override;
-  // Emits per-pull "pull" (and per-redundancy-decision "dup"/"parity")
-  // events at kDebug severity.
-  void set_event_log(obs::EventLog* log) override { event_log_ = log; }
   // Records per-stream-packet birth (kGenerate, with the shared-queue depth)
   // and sender fetch (kPull, with the chosen path) span events; redundancy
   // decisions add kSchedDecision events.  Optional; a no-op when never
@@ -136,7 +132,6 @@ class DmpStreamingServer : public StreamServer {
   std::uint64_t parity_sent_ = 0;
   std::vector<SchedPathState> path_state_;  // reused pick() scratch
 
-  obs::EventLog* event_log_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   obs::TimeSeriesChannel* ts_backlog_ = nullptr;
   obs::TimeSeriesChannel* ts_generated_ = nullptr;

@@ -95,15 +95,12 @@ SessionResult run_session(const SessionConfig& config) {
 
   // --- observability (optional) ---
   std::shared_ptr<obs::MetricsRegistry> registry;
-  std::shared_ptr<obs::EventLog> events;
   std::shared_ptr<obs::FlightRecorder> flight;
   if (config.obs.enabled || config.obs.flight_recorder) {
     std::filesystem::create_directories(config.obs.output_dir);
   }
   if (config.obs.enabled) {
     registry = std::make_shared<obs::MetricsRegistry>();
-    events = std::make_shared<obs::EventLog>(config.obs.event_ring_capacity,
-                                             config.obs.min_severity);
     attach_scheduler_gauges(*registry, sched);
   }
   if (config.obs.flight_recorder) {
@@ -135,7 +132,6 @@ SessionResult run_session(const SessionConfig& config) {
     if (registry) {
       const std::string prefix = "link.path" + std::to_string(i);
       paths.back()->bottleneck().attach_metrics(*registry, prefix);
-      paths.back()->bottleneck().set_event_log(events.get());
     }
     if (flight) paths.back()->set_flight_recorder(flight.get());
     if (telemetry) {
@@ -167,7 +163,6 @@ SessionResult run_session(const SessionConfig& config) {
     if (registry) {
       const std::string suffix = ".path" + std::to_string(k);
       video.back().sender->attach_metrics(*registry, "tcp" + suffix);
-      video.back().sender->set_event_log(events.get());
       video.back().sink->attach_metrics(*registry, "sink" + suffix);
     }
     if (flight) {
@@ -263,10 +258,7 @@ SessionResult run_session(const SessionConfig& config) {
   // --- server (scheme under test; one interface, no per-scheme wiring) ---
   std::unique_ptr<StreamServer> server = make_stream_server(
       config, sched, senders, epoch, duration, scheduler_spec);
-  if (registry) {
-    server->attach_metrics(*registry, "server");
-    server->set_event_log(events.get());
-  }
+  if (registry) server->attach_metrics(*registry, "server");
   if (flight) server->set_flight_recorder(flight.get());
   if (telemetry) {
     server->set_telemetry(telemetry->series().channel("server.backlog"),
@@ -314,7 +306,6 @@ SessionResult run_session(const SessionConfig& config) {
       injector->add_path("path" + std::to_string(i),
                          static_cast<std::int32_t>(i), std::move(target));
     }
-    injector->set_event_log(events.get());
     injector->set_flight_recorder(flight.get());
     injector->arm();
   }
@@ -407,11 +398,6 @@ SessionResult run_session(const SessionConfig& config) {
     // The instrumented objects die with this scope; keep their last values.
     registry->freeze_samplers();
 
-    result.events_path = config.obs.events_path();
-    if (!events->write_jsonl(result.events_path)) {
-      ++result.artifact_write_failures;
-    }
-
     obs::RunReport report;
     report.set_text("scheme", scheme_tag(config.scheme));
     if (*server->scheduler_name() != '\0') {
@@ -463,8 +449,6 @@ SessionResult run_session(const SessionConfig& config) {
                       static_cast<std::int64_t>(result.events_cancelled));
     report.set_scalar("max_events_pending",
                       static_cast<std::int64_t>(result.max_events_pending));
-    report.set_scalar("events_overwritten",
-                      static_cast<std::int64_t>(events->overwritten()));
     report.set_scalar("fault_events_fired",
                       static_cast<std::int64_t>(result.fault_events_fired));
     report.set_scalar("probe_rows_dropped",
@@ -487,7 +471,7 @@ SessionResult run_session(const SessionConfig& config) {
       }
     }
     // Artifact-write health: non-zero status means at least one artifact
-    // (trace, probe CSV, event log) failed to reach disk before this report.
+    // (trace, probe CSV, telemetry) failed to reach disk before this report.
     report.set_scalar("io_errors",
                       static_cast<std::int64_t>(result.artifact_write_failures));
     report.set_scalar("status",
@@ -519,7 +503,6 @@ SessionResult run_session(const SessionConfig& config) {
       ++result.artifact_write_failures;
     }
     result.metrics = std::move(registry);
-    result.events = std::move(events);
   }
   return result;
 }

@@ -12,7 +12,6 @@
 
 #include "apps/background.hpp"
 #include "obs/config.hpp"
-#include "obs/event_log.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry/telemetry.hpp"
@@ -86,10 +85,9 @@ struct SessionConfig {
   // nothing: byte-identical to a build without the fault layer.
   std::string faults{};
   // Observability: when `obs.enabled`, the run attaches a metrics registry
-  // and event log to every layer (links, TCP agents, server, scheduler,
-  // client), samples gauges into `<prefix>_probe.csv` every
-  // `obs.probe_interval_s`, and writes `<prefix>_events.jsonl` plus a
-  // `<prefix>_report.json` summary at the end of the run.  Off by default:
+  // to every layer (links, TCP agents, server, scheduler, client), samples
+  // gauges into `<prefix>_probe.csv` every `obs.probe_interval_s`, and
+  // writes a `<prefix>_report.json` summary at the end of the run.  Off by default:
   // nothing is allocated or scheduled and the hot path is unchanged.
   obs::ObsConfig obs{};
   // Streaming telemetry (src/obs/telemetry): windowed time-series channels
@@ -141,10 +139,8 @@ struct SessionResult {
   // Populated only when the session ran with `obs.enabled`.  Gauges are
   // frozen to their end-of-run values (the instrumented objects are gone).
   std::shared_ptr<obs::MetricsRegistry> metrics;
-  std::shared_ptr<obs::EventLog> events;
   std::string report_path;
   std::string probe_csv_path;
-  std::string events_path;
 
   // Populated only when the session ran with `obs.flight_recorder`: the
   // in-memory per-packet lifecycle trace and the JSONL path it was written

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/event_log.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry/time_series.hpp"
@@ -52,8 +51,7 @@ class StreamServer {
   virtual void attach_metrics(obs::MetricsRegistry& registry,
                               const std::string& prefix) = 0;
 
-  // Per-pull / per-generate diagnostics.  Base-class no-ops: schemes opt in.
-  virtual void set_event_log(obs::EventLog*) {}
+  // Per-pull / per-generate span events.  Base-class no-op: schemes opt in.
   virtual void set_flight_recorder(obs::FlightRecorder*) {}
   // Windowed telemetry (either may be null): `backlog` samples the
   // scheme's undispatched-packet count (shared queue or remaining file) at

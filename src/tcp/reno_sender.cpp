@@ -172,8 +172,7 @@ void RenoSender::rtt_sample(SimTime sample) {
 }
 
 void RenoSender::open_cwnd(std::int64_t newly_acked) {
-  const bool was_slow_start = cwnd_ < ssthresh_;
-  if (was_slow_start) {
+  if (cwnd_ < ssthresh_) {
     // Slow start: one segment per ACK event; delayed ACKs naturally slow
     // the doubling to ~1.5x per RTT, as in real stacks.
     cwnd_ += 1.0;
@@ -181,14 +180,6 @@ void RenoSender::open_cwnd(std::int64_t newly_acked) {
     cwnd_ += static_cast<double>(newly_acked) / cwnd_;
   }
   cwnd_ = std::min(cwnd_, config_.max_cwnd);
-  if (was_slow_start && cwnd_ >= ssthresh_ && event_log_ &&
-      event_log_->enabled(obs::Severity::kInfo)) {
-    event_log_->record(sched_.now().to_seconds(), obs::Severity::kInfo,
-                       "ss_to_ca",
-                       {obs::EventField::num("flow", flow_),
-                        obs::EventField::num("cwnd", cwnd_),
-                        obs::EventField::num("ssthresh", ssthresh_)});
-  }
 }
 
 void RenoSender::on_ack(const Packet& ack) {
@@ -247,13 +238,6 @@ void RenoSender::on_ack(const Packet& ack) {
 
 void RenoSender::enter_fast_recovery() {
   ++stats_.fast_retransmits;
-  if (event_log_ && event_log_->enabled(obs::Severity::kInfo)) {
-    event_log_->record(sched_.now().to_seconds(), obs::Severity::kInfo,
-                       "fast_retransmit",
-                       {obs::EventField::num("flow", flow_),
-                        obs::EventField::num("seq", snd_una_),
-                        obs::EventField::num("cwnd", cwnd_)});
-  }
   ssthresh_ = std::max(std::floor(cwnd_ / 2.0), 2.0);
   cwnd_ = ssthresh_ + 3.0;
   in_recovery_ = true;
@@ -270,15 +254,6 @@ void RenoSender::on_rto() {
     ++stats_.rto_at_timeout_count;
   }
   ++stats_.timeouts;
-  if (event_log_ && event_log_->enabled(obs::Severity::kWarn)) {
-    event_log_->record(sched_.now().to_seconds(), obs::Severity::kWarn, "rto",
-                       {obs::EventField::num("flow", flow_),
-                        obs::EventField::num("snd_una", snd_una_),
-                        obs::EventField::num("cwnd", cwnd_),
-                        obs::EventField::num("backoff", backoff_),
-                        obs::EventField::num("rto_s",
-                                             current_rto().to_seconds())});
-  }
   if (flight_) {
     // Flow-level stall marker with the pre-collapse window; the packet at
     // snd_una is the one the timeout fired for.

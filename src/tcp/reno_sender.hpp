@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "net/packet.hpp"
-#include "obs/event_log.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry/time_series.hpp"
@@ -114,9 +113,6 @@ class RenoSender {
   // report is written, and the `<prefix>.ack_interarrival_s` histogram.
   void attach_metrics(obs::MetricsRegistry& registry,
                       const std::string& prefix);
-  // Emits "rto" (kWarn), "fast_retransmit" (kInfo) and "ss_to_ca" phase-
-  // transition (kInfo) events tagged with this sender's flow id.
-  void set_event_log(obs::EventLog* log) { event_log_ = log; }
   // Records per-stream-packet send-buffer enqueues and (re)transmissions
   // (with cwnd/ssthresh snapshots and the recovery mechanism), plus
   // flow-level RTO span events, into the flight recorder.
@@ -209,7 +205,6 @@ class RenoSender {
   obs::Histogram* m_ack_interarrival_ = nullptr;
   SimTime last_ack_at_ = SimTime::zero();
   bool seen_ack_ = false;
-  obs::EventLog* event_log_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   obs::TimeSeriesChannel* ts_cwnd_ = nullptr;
   obs::TimeSeriesChannel* ts_srtt_ = nullptr;

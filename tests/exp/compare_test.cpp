@@ -7,6 +7,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "exp/compare/json.hpp"
 #include "exp/compare/report_diff.hpp"
@@ -253,6 +255,127 @@ TEST(Slo, ParseOrThrow) {
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("2"), std::string::npos);
+  }
+}
+
+// Deterministic mutants of a valid spec body: truncations at every byte,
+// case flips of every letter, surrounding whitespace, appended bytes,
+// adjacent fields swapped within each rule, and adjacent rules swapped.
+std::vector<std::string> slo_mutants(const std::vector<std::string>& rules) {
+  const auto join = [](const std::vector<std::string>& lines) {
+    std::string out;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      if (i != 0) out += '\n';
+      out += lines[i];
+    }
+    return out;
+  };
+  const std::string body = join(rules);
+  std::vector<std::string> out;
+  for (std::size_t n = 0; n < body.size(); ++n) out.push_back(body.substr(0, n));
+  for (std::size_t c = 0; c < body.size(); ++c) {
+    if (body[c] < 'a' || body[c] > 'z') continue;
+    std::string flipped = body;
+    flipped[c] = static_cast<char>(flipped[c] - 'a' + 'A');
+    out.push_back(flipped);
+  }
+  for (const std::string ws : {" ", "\t", "\n", "\r", "\r\n"}) {
+    out.push_back(ws + body);
+    out.push_back(body + ws);
+    out.push_back(ws + body + ws);
+  }
+  for (const char c : {'x', '0', '\'', ':', '#', '=', '\x7f', '\xff'}) {
+    out.push_back(body + c);
+  }
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    std::vector<std::string> tokens;
+    std::istringstream in(rules[i]);
+    for (std::string t; in >> t;) tokens.push_back(t);
+    for (std::size_t j = 0; j + 1 < tokens.size(); ++j) {
+      std::swap(tokens[j], tokens[j + 1]);
+      std::vector<std::string> lines = rules;
+      lines[i].clear();
+      for (std::size_t t = 0; t < tokens.size(); ++t) {
+        lines[i] += (t == 0 ? "" : " ") + tokens[t];
+      }
+      out.push_back(join(lines));
+      std::swap(tokens[j], tokens[j + 1]);
+    }
+  }
+  for (std::size_t i = 0; i + 1 < rules.size(); ++i) {
+    std::vector<std::string> lines = rules;
+    std::swap(lines[i], lines[i + 1]);
+    out.push_back(join(lines));
+  }
+  return out;
+}
+
+// What parse() makes of a body: its rules in canonical form, one per line,
+// or the message it throws.
+std::string slo_outcome(const std::string& body) {
+  try {
+    std::string out;
+    for (const auto& rule : SloSpec::parse(body).rules) {
+      out += rule.to_string() + "\n";
+    }
+    return out;
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+}
+
+TEST(Slo, MutatedSpecsParseToThePinnedSpecOrThrowThePinnedMessage) {
+  const std::vector<std::string> mutants =
+      slo_mutants({"a.b == 'x'", "n >= 1.5", "ok != true"});
+  const std::string all = "a.b == 'x'\nn >= 1.5\nok != true\n";
+  const auto at = [](int line, const std::string& why) {
+    return "slo: line " + std::to_string(line) + ": " + why;
+  };
+  const auto value = [&at](int line, const std::string& v) {
+    return at(line, "'" + v + "' is not a number, boolean or 'string'");
+  };
+  const std::string no_op = "no comparison operator";
+  const std::string no_value = "empty expected value";
+  const std::string no_path = "empty field path";
+  const std::vector<std::string> pinned{
+      // truncations
+      "", at(1, no_op), at(1, no_op), at(1, no_op), at(1, no_op),
+      at(1, "bad operator '='"), at(1, no_value), at(1, no_value),
+      value(1, "'"), value(1, "'x"), "a.b == 'x'\n", "a.b == 'x'\n",
+      at(2, no_op), at(2, no_op), at(2, no_value), at(2, no_value),
+      at(2, no_value), "a.b == 'x'\nn >= 1\n", "a.b == 'x'\nn >= 1\n",
+      "a.b == 'x'\nn >= 1.5\n", "a.b == 'x'\nn >= 1.5\n", at(3, no_op),
+      at(3, no_op), at(3, no_op), at(3, "bad operator '!'"), at(3, no_value),
+      at(3, no_value), value(3, "t"), value(3, "tr"), value(3, "tru"),
+      // case flips: paths and strings take any case, true/false only
+      // lower case
+      "A.b == 'x'\nn >= 1.5\nok != true\n",
+      "a.B == 'x'\nn >= 1.5\nok != true\n",
+      "a.b == 'X'\nn >= 1.5\nok != true\n",
+      "a.b == 'x'\nN >= 1.5\nok != true\n",
+      "a.b == 'x'\nn >= 1.5\nOk != true\n",
+      "a.b == 'x'\nn >= 1.5\noK != true\n", value(3, "True"),
+      value(3, "tRue"), value(3, "trUe"), value(3, "truE"),
+      // surrounding whitespace
+      all, all, all, all, all, all, all, all, all, all, all, all, all, all,
+      all,
+      // appended bytes ('#' starts a comment)
+      value(3, "truex"), value(3, "true0"), value(3, "true'"),
+      value(3, "true:"), all, value(3, "true="), value(3, "true\x7f"),
+      value(3, "true\xff"),
+      // swapped fields, then swapped rules
+      at(1, no_path), at(1, no_value), at(2, no_path), at(2, no_value),
+      at(3, no_path), at(3, no_value), "n >= 1.5\na.b == 'x'\nok != true\n",
+      "a.b == 'x'\nok != true\nn >= 1.5\n"};
+  ASSERT_EQ(mutants.size(), pinned.size());  // the sweep cannot silently shrink
+  for (std::size_t i = 0; i < mutants.size(); ++i) {
+    const std::string outcome = slo_outcome(mutants[i]);
+    EXPECT_EQ(outcome, pinned[i]) << "mutant " << i << " '" << mutants[i]
+                                  << "'";
+    // A spec that parses reads back from its canonical form unchanged.
+    if (outcome.rfind("slo: ", 0) != 0) {
+      EXPECT_EQ(slo_outcome(outcome), outcome) << mutants[i];
+    }
   }
 }
 

@@ -1,5 +1,5 @@
-// Unit tests for the observability layer: metrics registry, event log,
-// probes and run reports.
+// Unit tests for the observability layer: metrics registry, probes and run
+// reports.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probe.hpp"
 #include "obs/run_report.hpp"
@@ -144,51 +143,6 @@ TEST(MetricsRegistry, CounterViewsReadTheirSourceUntilFrozen) {
   source = 99;
   EXPECT_EQ(reg.find_counter("view")->value(), 11u);
   EXPECT_EQ(reg.find_counter("plain")->value(), 2u);
-}
-
-TEST(EventLog, SeverityFilterDropsBelowThreshold) {
-  EventLog log(0, Severity::kInfo);
-  EXPECT_FALSE(log.enabled(Severity::kDebug));
-  EXPECT_TRUE(log.enabled(Severity::kWarn));
-  log.record(1.0, Severity::kDebug, "pull", {});
-  log.record(2.0, Severity::kInfo, "accept", {});
-  log.record(3.0, Severity::kWarn, "drop", {});
-  EXPECT_EQ(log.size(), 2u);
-  EXPECT_EQ(log.total_recorded(), 2u);
-  EXPECT_EQ(log.events().front().type, "accept");
-}
-
-TEST(EventLog, RingBufferTruncatesOldestAndCountsEvictions) {
-  EventLog log(3);
-  for (int i = 0; i < 10; ++i) {
-    log.record(static_cast<double>(i), Severity::kInfo, "e",
-               {EventField::num("i", i)});
-  }
-  EXPECT_EQ(log.size(), 3u);
-  EXPECT_EQ(log.ring_capacity(), 3u);
-  EXPECT_EQ(log.total_recorded(), 10u);
-  EXPECT_EQ(log.overwritten(), 7u);
-  // The retained window is the newest three events, in order.
-  EXPECT_DOUBLE_EQ(log.events()[0].time_s, 7.0);
-  EXPECT_DOUBLE_EQ(log.events()[2].time_s, 9.0);
-}
-
-TEST(EventLog, JsonlShapeAndEscaping) {
-  EventLog log;
-  log.record(1.5, Severity::kWarn, "drop",
-             {EventField::num("flow", std::int64_t{4}),
-              EventField::num("queue", 12.0),
-              EventField::text("note", "a \"quoted\"\nline")});
-  std::ostringstream out;
-  log.to_jsonl(out);
-  const std::string line = out.str();
-  EXPECT_NE(line.find("\"sev\":\"warn\""), std::string::npos);
-  EXPECT_NE(line.find("\"type\":\"drop\""), std::string::npos);
-  EXPECT_NE(line.find("\"flow\":4"), std::string::npos);
-  EXPECT_NE(line.find("\\\"quoted\\\""), std::string::npos);
-  EXPECT_NE(line.find("\\n"), std::string::npos);
-  EXPECT_EQ(line.back(), '\n');
-  EXPECT_EQ(count_lines(line), 1u);
 }
 
 TEST(Probe, SamplesAtFixedSimulatedInterval) {

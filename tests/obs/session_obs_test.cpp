@@ -1,12 +1,15 @@
 // Sim-level observability tests: a 2-path DMP session with obs enabled must
-// emit a consistent RunReport, a gauge time series, and an event log, and
-// the cross-checkable numbers (per-path packet counters vs. the client
-// trace's path split) must agree exactly.
+// emit a consistent RunReport and a gauge time series, the flight recorder
+// must carry the discrete events (pulls, drops), and the cross-checkable
+// numbers (per-path packet counters vs. the client trace's path split) must
+// agree exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -34,7 +37,6 @@ SessionConfig obs_session(const std::string& prefix) {
   config.obs.output_dir = "obs_session_test_out";
   config.obs.prefix = prefix;
   config.obs.probe_interval_s = 1.0;
-  config.obs.min_severity = obs::Severity::kDebug;
   return config;
 }
 
@@ -46,7 +48,7 @@ TEST(SessionObs, DisabledByDefaultAllocatesNothing) {
   config.drain_s = 10.0;
   const auto result = run_session(config);
   EXPECT_EQ(result.metrics, nullptr);
-  EXPECT_EQ(result.events, nullptr);
+  EXPECT_EQ(result.flight, nullptr);
   EXPECT_TRUE(result.report_path.empty());
 }
 
@@ -81,12 +83,11 @@ TEST(SessionObs, PathCountersMatchTracePathSplit) {
   EXPECT_GE(p0->value() + p1->value(), result.trace.arrivals());
 }
 
-TEST(SessionObs, EmitsReportProbeAndEventArtifacts) {
+TEST(SessionObs, EmitsReportAndProbeArtifacts) {
   const auto result = run_session(obs_session("artifacts"));
   ASSERT_FALSE(result.report_path.empty());
   ASSERT_TRUE(std::filesystem::exists(result.report_path));
   ASSERT_TRUE(std::filesystem::exists(result.probe_csv_path));
-  ASSERT_TRUE(std::filesystem::exists(result.events_path));
 
   const std::string report = slurp(result.report_path);
   EXPECT_NE(report.find("\"scheme\":\"dmp\""), std::string::npos);
@@ -106,13 +107,48 @@ TEST(SessionObs, EmitsReportProbeAndEventArtifacts) {
     if (c == '\n') ++rows;
   }
   EXPECT_GT(rows, 50u);
+}
 
-  // Table-1 bottlenecks are congested, so drops and pulls must appear.
-  ASSERT_NE(result.events, nullptr);
-  EXPECT_GT(result.events->total_recorded(), 0u);
-  const std::string events = slurp(result.events_path);
-  EXPECT_NE(events.find("\"type\":\"pull\""), std::string::npos);
-  EXPECT_NE(events.find("\"type\":\"drop\""), std::string::npos);
+TEST(SessionObs, WritesOnlyReportProbeAndTrace) {
+  // The report, the probe CSV and (with the flight recorder) the trace are
+  // the whole artifact set: no `<prefix>_events.jsonl` beside them.
+  auto config = obs_session("only");
+  config.duration_s = 20.0;
+  config.obs.flight_recorder = true;
+  const std::filesystem::path dir = config.obs.output_dir;
+  const auto written = [&dir] {
+    std::set<std::string> names;
+    if (!std::filesystem::exists(dir)) return names;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      const std::string name = entry.path().filename().string();
+      if (name.rfind("only_", 0) == 0) names.insert(name);
+    }
+    return names;
+  };
+  for (const std::string& name : written()) std::filesystem::remove(dir / name);
+  run_session(config);
+  EXPECT_EQ(written(), (std::set<std::string>{"only_probe.csv",
+                                              "only_report.json",
+                                              "only_trace.jsonl"}));
+}
+
+TEST(SessionObs, FlightRecorderCarriesPullsAndDrops) {
+  // Table-1 bottlenecks are congested, so the trace of a traced session
+  // shows server pulls and link drops.
+  auto config = obs_session("flight");
+  config.obs.enabled = false;
+  config.obs.flight_recorder = true;
+  const auto result = run_session(config);
+  ASSERT_NE(result.flight, nullptr);
+  const auto& events = result.flight->events();
+  const auto has = [&events](obs::FlightEventKind kind) {
+    return std::any_of(events.begin(), events.end(),
+                       [kind](const obs::FlightEvent& e) {
+                         return e.kind == kind;
+                       });
+  };
+  EXPECT_TRUE(has(obs::FlightEventKind::kPull));
+  EXPECT_TRUE(has(obs::FlightEventKind::kLinkDrop));
 }
 
 TEST(SessionObs, ReportTagsSchemeAndPolicy) {

@@ -3,7 +3,7 @@
 //
 //   trace_query summary <trace.jsonl> [--tau=SECONDS]
 //       meta, arrival totals, late fraction and the deadline-miss cause
-//       breakdown at startup delay tau (default 4 s)
+//       breakdown at startup delay tau (default 4 s; finite and >= 0)
 //   trace_query packet <trace.jsonl> <number>
 //       one packet's full lifecycle timeline, station by station
 //   trace_query paths <trace.jsonl>
@@ -12,12 +12,15 @@
 //   trace_query rtx <trace.jsonl>
 //       every packet that needed more than one transmission
 //   trace_query causes <trace.jsonl> [--tau=SECONDS] [--limit=N]
-//       the late packets themselves with their dominant cause
+//       the late packets themselves with their dominant cause (a negative
+//       limit prints them all)
 //   trace_query timeline <trace.jsonl> [--telemetry=CSV] [--out=FILE]
 //       [--max-packets=N]
-//       Chrome trace-event JSON (Perfetto-loadable) to FILE or stdout
+//       Chrome trace-event JSON (Perfetto-loadable) to FILE or stdout (a
+//       negative --max-packets keeps every packet)
 //   trace_query percentiles <sketches.jsonl> [--q=0.5,0.95,0.99]
-//       quantiles from a run's `*_sketches.jsonl` telemetry artifact
+//       quantiles in [0, 1] from a run's `*_sketches.jsonl` telemetry
+//       artifact
 //   trace_query diff <left> <right> [--abs-tol=X] [--rel-tol=X]
 //       [--ignore=PATH,...] [--max-print=N] [--quiet]
 //       structural comparison of two JSON reports (BENCH_*.json, obs
@@ -51,6 +54,7 @@
 //       point diverged, 2 unreadable/malformed input or no divergence
 //       section
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -166,6 +170,17 @@ class Flags {
   char** argv_;
   int first_;
 };
+
+// `--tau`, the startup delay a packet is late against: a finite,
+// non-negative number of seconds (default 4).
+double tau_flag(const Flags& flags) {
+  const double tau = flags.number("--tau", 4.0);
+  if (!std::isfinite(tau) || tau < 0.0) {
+    throw BadFlag{std::string("--tau=") + flags.value("--tau") +
+                  " is not a finite, non-negative number of seconds"};
+  }
+  return tau;
+}
 
 // ---------------------------------------------------------------- traces
 
@@ -340,9 +355,14 @@ int cmd_percentiles(const char* path, const Flags& flags) {
     std::string_view rest = spec;
     for (;;) {
       const auto comma = rest.find(',');
+      const std::string_view item = rest.substr(0, comma);
       double q = 0.0;
-      if (!parse_whole(rest.substr(0, comma), q)) {
+      if (!parse_whole(item, q)) {
         throw BadFlag{std::string("--q=") + spec + " is not a number"};
+      }
+      if (!(q >= 0.0 && q <= 1.0)) {  // NaN fails both
+        throw BadFlag{std::string("--q=") + spec + ": " + std::string(item) +
+                      " is not a quantile in [0, 1]"};
       }
       qs.push_back(q);
       if (comma == std::string_view::npos) break;
@@ -415,7 +435,7 @@ int run_trace_command(const std::string& cmd, int argc, char** argv) {
     return 2;
   }
   const TraceAnalyzer az(recorder);
-  if (cmd == "summary") return cmd_summary(az, flags.number("--tau", 4.0));
+  if (cmd == "summary") return cmd_summary(az, tau_flag(flags));
   if (cmd == "packet") {
     if (argc < 4) return usage(1);
     std::int64_t number = 0;
@@ -429,7 +449,7 @@ int run_trace_command(const std::string& cmd, int argc, char** argv) {
   if (cmd == "rtx") return cmd_rtx(az);
   if (cmd == "timeline") return cmd_timeline(az, flags);
   if (cmd == "causes") {
-    return cmd_causes(az, flags.number("--tau", 4.0),
+    return cmd_causes(az, tau_flag(flags),
                       flags.number("--limit", std::int64_t{50}));
   }
   return usage(1);
